@@ -1,5 +1,5 @@
-//! Blocking vs non-blocking vs streamed chunked exchange, and full vs
-//! half-exchange SWAPs, on the thread cluster.
+//! Chunked blocking exchange, and full vs half-exchange SWAPs, on the
+//! thread cluster.
 //!
 //! The laptop-scale analogue of Table 1's distributed row and fig 4: the
 //! same communication structures the paper optimises, measured for real
@@ -14,26 +14,18 @@ const N_QUBITS: u32 = 18; // 256k amplitudes over 4 ranks
 const RANKS: u64 = 4;
 const GATES: usize = 4;
 
-fn bench_exchange_modes() {
+fn bench_exchange() {
     let mut group = BenchGroup::new("distributed_hadamard");
     let local_bytes = 16u64 << (N_QUBITS - 2); // per-rank slice
     group
         .throughput_bytes(local_bytes * GATES as u64)
         .sample_size(10);
     let circuit = hadamard_benchmark(N_QUBITS, N_QUBITS - 1, GATES);
-    for (name, non_blocking, streamed) in [
-        ("blocking", false, false),
-        ("non_blocking", true, false),
-        ("streamed", false, true),
-    ] {
-        let mut cfg = SimConfig::default_for(RANKS);
-        cfg.non_blocking = non_blocking;
-        cfg.streamed = streamed;
-        cfg.max_message_bytes = 64 * 1024; // force multi-chunk
-        group.bench(name, || {
-            black_box(ThreadClusterExecutor::run(&circuit, &cfg, 0, false));
-        });
-    }
+    let mut cfg = SimConfig::default_for(RANKS);
+    cfg.max_message_bytes = 64 * 1024; // force multi-chunk
+    group.bench("blocking", || {
+        black_box(ThreadClusterExecutor::run(&circuit, &cfg, 0, false));
+    });
     group.finish();
 }
 
@@ -52,6 +44,6 @@ fn bench_swap_exchange() {
 }
 
 fn main() {
-    bench_exchange_modes();
+    bench_exchange();
     bench_swap_exchange();
 }

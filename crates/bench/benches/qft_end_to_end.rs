@@ -21,19 +21,15 @@ fn bench_qft_variants() {
     let blocked = cache_blocked_qft(N_QUBITS, default_split(N_QUBITS, local));
 
     let cfg = SimConfig::default_for(RANKS);
-    group.bench("built_in_blocking", || {
+    group.bench("built_in", || {
         black_box(ThreadClusterExecutor::run(&built_in, &cfg, 0, false));
     });
-    let cfg = SimConfig::fast_for(RANKS);
-    group.bench("built_in_nonblocking", || {
-        black_box(ThreadClusterExecutor::run(&built_in, &cfg, 0, false));
-    });
-    group.bench("cache_blocked_fast", || {
+    group.bench("cache_blocked", || {
         black_box(ThreadClusterExecutor::run(&blocked, &cfg, 0, false));
     });
-    let mut cfg = SimConfig::fast_for(RANKS);
+    let mut cfg = SimConfig::default_for(RANKS);
     cfg.fuse_diagonals = Some(4);
-    group.bench("cache_blocked_fast_fused", || {
+    group.bench("cache_blocked_fused", || {
         black_box(ThreadClusterExecutor::run(&blocked, &cfg, 0, false));
     });
     group.finish();

@@ -2,25 +2,23 @@
 //!
 //! The ARCHER2 constants in `qse-machine` came from the paper's published
 //! measurements. This binary performs the *same measurements* on the
-//! current host using the real engines — sweep bandwidth per layout,
-//! NUMA/cache penalty versus target qubit, and pairwise exchange
-//! throughput per mode — and prints them as a ready-to-edit machine
-//! description, so the model can be re-anchored to any machine the
-//! repository runs on.
+//! current host using the real engines — sweep bandwidth, NUMA/cache
+//! penalty versus target qubit, and pairwise exchange throughput — and
+//! prints them as a ready-to-edit machine description, so the model can
+//! be re-anchored to any machine the repository runs on.
 
 use qse_circuit::benchmarks::{hadamard_benchmark, swap_benchmark};
 use qse_circuit::Gate;
 use qse_core::experiment::TextTable;
 use qse_core::{SimConfig, ThreadClusterExecutor};
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::SingleState;
 use std::time::Instant;
 
 const SWEEP_QUBITS: u32 = 22; // 4M amplitudes, 64 MB — past LLC
 const REPS: usize = 5;
 
-fn sweep_bandwidth<S: AmpStorage>(q: u32) -> f64 {
-    let mut s: SingleState<S> = SingleState::zero_state(SWEEP_QUBITS);
+fn sweep_bandwidth(q: u32) -> f64 {
+    let mut s: SingleState = SingleState::zero_state(SWEEP_QUBITS);
     // warm-up
     s.apply(&Gate::H(q));
     let t0 = Instant::now();
@@ -35,23 +33,18 @@ fn sweep_bandwidth<S: AmpStorage>(q: u32) -> f64 {
 fn main() {
     println!("qse host calibration (sweeps: {SWEEP_QUBITS} qubits, {REPS} reps)\n");
 
-    // 1. Sweep bandwidth by storage layout (the paper's §4 locality
-    //    question, measured).
-    let soa = sweep_bandwidth::<SoaStorage>(4);
-    let aos = sweep_bandwidth::<AosStorage>(4);
-    println!("sweep bandwidth, low-stride Hadamard:");
-    println!("  SoA (QuEST layout):   {:7.2} GB/s", soa / 1e9);
+    // 1. Sweep bandwidth of the QuEST (SoA) layout.
+    let soa = sweep_bandwidth(4);
     println!(
-        "  AoS (complex layout): {:7.2} GB/s ({:+.0} %)\n",
-        aos / 1e9,
-        (aos / soa - 1.0) * 100.0
+        "sweep bandwidth, low-stride Hadamard: {:7.2} GB/s\n",
+        soa / 1e9
     );
 
     // 2. Penalty versus target qubit (the Table 1 shape on this host).
     let mut table = TextTable::new(vec!["Target qubit", "GB/s", "vs q0"]);
-    let base = sweep_bandwidth::<SoaStorage>(0);
+    let base = sweep_bandwidth(0);
     for q in [0u32, 4, 8, 12, 16, 20, SWEEP_QUBITS - 1] {
-        let bw = sweep_bandwidth::<SoaStorage>(q);
+        let bw = sweep_bandwidth(q);
         table.row(vec![
             q.to_string(),
             format!("{:.2}", bw / 1e9),
@@ -61,28 +54,23 @@ fn main() {
     println!("per-qubit sweep cost (the Table 1 stride shape):");
     println!("{}", table.render());
 
-    // 3. Exchange throughput per mode (the Table 1 distributed row).
+    // 3. Blocking exchange throughput (the Table 1 distributed row).
     let n = 18u32;
     let ranks = 4u64;
     let gates = 6usize;
-    let mut table = TextTable::new(vec!["Mode", "Wall s", "GB/s per rank"]);
-    for (label, nb) in [("blocking", false), ("non-blocking", true)] {
-        let circuit = hadamard_benchmark(n, n - 1, gates);
-        let mut cfg = SimConfig::default_for(ranks);
-        cfg.non_blocking = nb;
-        cfg.max_message_bytes = 1 << 16;
-        // warm-up then measure
-        ThreadClusterExecutor::run(&circuit, &cfg, 0, false);
-        let run = ThreadClusterExecutor::run(&circuit, &cfg, 0, false);
-        let per_rank_bytes = (run.profiled.bytes_sent / ranks) as f64;
-        table.row(vec![
-            label.to_string(),
-            format!("{:.3}", run.profiled.wall_s),
-            format!("{:.2}", per_rank_bytes / run.profiled.wall_s / 1e9),
-        ]);
-    }
-    println!("pairwise exchange ({n} qubits, {ranks} ranks, {gates} distributed H):");
-    println!("{}", table.render());
+    let circuit = hadamard_benchmark(n, n - 1, gates);
+    let mut cfg = SimConfig::default_for(ranks);
+    cfg.max_message_bytes = 1 << 16;
+    // warm-up then measure
+    ThreadClusterExecutor::run(&circuit, &cfg, 0, false);
+    let run = ThreadClusterExecutor::run(&circuit, &cfg, 0, false);
+    let per_rank_bytes = (run.profiled.bytes_sent / ranks) as f64;
+    println!(
+        "pairwise exchange ({n} qubits, {ranks} ranks, {gates} distributed H): \
+         {:.3} s wall, {:.2} GB/s per rank\n",
+        run.profiled.wall_s,
+        per_rank_bytes / run.profiled.wall_s / 1e9,
+    );
 
     // 4. Half vs full SWAP exchange.
     let mut table = TextTable::new(vec!["SWAP exchange", "Wall s", "bytes/rank"]);

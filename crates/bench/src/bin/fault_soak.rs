@@ -5,8 +5,7 @@
 //! must complete **bit-for-bit identical** to the fault-free run; every
 //! fourth plan is unrecoverable (permanent corruption or exhausted
 //! retries) and must surface a **typed** `CommError` — never a hang,
-//! never a panic. Exchange modes rotate per plan so all three transports
-//! soak equally.
+//! never a panic.
 //!
 //! Every plan's seed is printed *before* it runs, so whatever goes wrong
 //! — mismatch, unexpected error, even a crash — the seed needed for a
@@ -22,20 +21,6 @@ use qse_math::Complex64;
 
 const QUBITS: u32 = 16;
 const RANKS: u64 = 4;
-
-const MODES: [(&str, bool, bool); 3] = [
-    ("blocking", false, false),
-    ("non-blocking", true, false),
-    ("streamed", false, true),
-];
-
-fn config(mode: usize) -> SimConfig {
-    let (_, non_blocking, streamed) = MODES[mode];
-    let mut cfg = SimConfig::default_for(RANKS);
-    cfg.non_blocking = non_blocking;
-    cfg.streamed = streamed;
-    cfg
-}
 
 /// First amplitude index where the two states differ in bit pattern.
 fn first_bit_mismatch(a: &[Complex64], b: &[Complex64]) -> Option<usize> {
@@ -64,22 +49,15 @@ fn main() {
         base_seed + n_plans
     );
 
-    // One fault-free baseline per exchange mode (they are bit-identical
-    // to each other, but comparing like against like keeps the check
-    // self-contained).
-    let baselines: Vec<Vec<Complex64>> = (0..MODES.len())
-        .map(|m| {
-            ThreadClusterExecutor::try_run(&circuit, &config(m), 0, true)
-                .expect("fault-free baseline run failed")
-                .state
-                .expect("baseline gather")
-        })
-        .collect();
+    let baseline =
+        ThreadClusterExecutor::try_run(&circuit, &SimConfig::default_for(RANKS), 0, true)
+            .expect("fault-free baseline run failed")
+            .state
+            .expect("baseline gather");
 
     let mut failures: Vec<(u64, String)> = Vec::new();
     for i in 0..n_plans {
         let seed = base_seed + i;
-        let mode = (i % 3) as usize;
         let recoverable = i % 4 != 3;
         let plan = if recoverable {
             qse_comm::FaultConfig::recoverable(seed)
@@ -89,16 +67,19 @@ fn main() {
             qse_comm::FaultConfig::exhausted_retries(seed)
         };
         println!(
-            "plan seed={seed} mode={} {} ...",
-            MODES[mode].0,
-            if recoverable { "recoverable" } else { "unrecoverable" },
+            "plan seed={seed} {} ...",
+            if recoverable {
+                "recoverable"
+            } else {
+                "unrecoverable"
+            },
         );
-        let mut cfg = config(mode);
+        let mut cfg = SimConfig::default_for(RANKS);
         cfg.faults = Some(plan);
         match ThreadClusterExecutor::try_run(&circuit, &cfg, 0, true) {
             Ok(run) if recoverable => {
                 let state = run.state.expect("gather");
-                match first_bit_mismatch(&state, &baselines[mode]) {
+                match first_bit_mismatch(&state, &baseline) {
                     None => println!(
                         "  ok: bit-identical ({} faults injected, {} retries, {} corruptions healed)",
                         run.profiled.faults_injected,

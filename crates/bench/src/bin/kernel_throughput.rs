@@ -9,7 +9,7 @@
 //!
 //! Sweeps each kernel shape the hot path dispatches — dense 1q at low /
 //! mid / top strides, controlled (control below and above the target),
-//! diagonal, and swap — on both storage layouts, and writes
+//! diagonal, and swap — and writes
 //! `results/bench_kernels.json` (`QSE_RESULTS_DIR` overrides the
 //! directory). Every 1q entry records `speedup_vs_scalar`: the same
 //! sweep timed through the scalar per-element kernel the storage layer
@@ -31,7 +31,7 @@
 
 use qse_circuit::Gate;
 use qse_math::{Complex64, Matrix2};
-use qse_statevec::{AmpStorage, AosStorage, SingleState, SoaStorage};
+use qse_statevec::SingleState;
 use qse_util::json::{Json, ToJson};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -40,7 +40,6 @@ use std::time::{Duration, Instant};
 const TARGET_SAMPLE: Duration = Duration::from_millis(20);
 
 struct Entry {
-    layout: &'static str,
     n_qubits: u32,
     kernel: String,
     median_s: f64,
@@ -53,7 +52,6 @@ struct Entry {
 impl Entry {
     fn to_json(&self) -> Json {
         Json::object([
-            ("layout", self.layout.to_json()),
             ("n_qubits", self.n_qubits.to_json()),
             ("kernel", self.kernel.to_json()),
             ("median_s", self.median_s.to_json()),
@@ -176,13 +174,7 @@ fn scalar_baseline(n: u32, q: u32, control: Option<u32>, samples: usize) -> f64 
     (1u64 << n) as f64 / median
 }
 
-fn bench_layout<S: AmpStorage>(
-    layout: &'static str,
-    n: u32,
-    samples: usize,
-    scalar: &[(String, f64)],
-    out: &mut Vec<Entry>,
-) {
+fn bench_kernels(n: u32, samples: usize, scalar: &[(String, f64)], out: &mut Vec<Entry>) {
     let amps = (1u64 << n) as f64;
     let mid = n / 2;
     let top = n - 1;
@@ -215,7 +207,7 @@ fn bench_layout<S: AmpStorage>(
         (format!("swap_q2_q{top}"), Gate::Swap(2, top)),
     ];
     for (name, gate) in kernels {
-        let mut state: SingleState<S> = SingleState::zero_state(n);
+        let mut state: SingleState = SingleState::zero_state(n);
         let (median, min) = time_median(samples, || {
             state.apply(black_box(&gate));
         });
@@ -225,7 +217,6 @@ fn bench_layout<S: AmpStorage>(
             .map(|&(_, scalar_amps_per_s)| (amps / median) / scalar_amps_per_s);
         let gib_per_s = amps * bytes_per_amp(&name) / median / (1u64 << 30) as f64;
         let entry = Entry {
-            layout,
             n_qubits: n,
             kernel: name,
             median_s: median,
@@ -239,7 +230,7 @@ fn bench_layout<S: AmpStorage>(
             .map(|s| format!("  {s:5.2}x vs scalar"))
             .unwrap_or_default();
         println!(
-            "{layout:>3}/n={n}/{kernel:<14} {amps_per_s:>10.3e} amps/s  {gib:6.1} GiB/s{spd}",
+            "n={n}/{kernel:<14} {amps_per_s:>10.3e} amps/s  {gib:6.1} GiB/s{spd}",
             kernel = entry.kernel,
             amps_per_s = entry.amps_per_s,
             gib = entry.gib_per_s,
@@ -392,8 +383,7 @@ fn main() {
                 scalar_baseline(n, mid, Some(2), samples),
             ),
         ];
-        bench_layout::<SoaStorage>("soa", n, samples, &scalar, &mut entries);
-        bench_layout::<AosStorage>("aos", n, samples, &scalar, &mut entries);
+        bench_kernels(n, samples, &scalar, &mut entries);
     }
 
     // Per-size geometric mean of the dense-1q speedups — the headline

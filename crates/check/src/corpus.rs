@@ -1,7 +1,7 @@
 //! The standard plan corpus swept by `qse check --plans` and CI: QFT,
-//! cache-blocked QFT, and random circuits × rank counts × exchange
-//! modes × transpile strategies, each paired with the [`VerifyOptions`]
-//! the runtime would use, ready for [`crate::verify::verify_plan`].
+//! cache-blocked QFT, and random circuits × rank counts × transpile
+//! strategies × chunk caps, each paired with the [`VerifyOptions`] the
+//! runtime would use, ready for [`crate::verify::verify_plan`].
 
 use crate::verify::VerifyOptions;
 use qse_circuit::classify::Layout;
@@ -9,13 +9,13 @@ use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::transpile::{comm_avoid, ByteOracle, Plan, Strategy};
 use qse_circuit::{Circuit, Permutation};
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
+use qse_comm::chunking::ChunkPolicy;
 
 /// One corpus entry: a compiled plan, the circuit it was compiled from,
 /// and the execution configuration to verify it under.
 #[derive(Debug, Clone)]
 pub struct CorpusCase {
-    /// Human-readable case name, e.g. `qft8/R4/streamed/beam`.
+    /// Human-readable case name, e.g. `qft8/R4/512B-half/beam`.
     pub name: String,
     pub plan: Plan,
     pub original: Circuit,
@@ -32,18 +32,11 @@ fn strategy_name(s: Option<Strategy>) -> &'static str {
     }
 }
 
-fn mode_name(m: ExchangeMode) -> &'static str {
-    match m {
-        ExchangeMode::Blocking => "blocking",
-        ExchangeMode::NonBlocking => "nonblocking",
-        ExchangeMode::Streamed => "streamed",
-    }
-}
-
 /// Builds the standard corpus: 6 circuits × R ∈ {1, 2, 4, 8} ×
-/// 3 exchange modes × transpile off/greedy/beam = 216 plans. Cases
-/// alternate half-exchange SWAPs and a small chunk cap so multi-chunk
-/// and half-exchange lowering stay covered.
+/// transpile off/greedy/beam × 2 exchange settings = 144 plans. The
+/// settings are a 1 MiB chunk cap with full-exchange SWAPs and a 512 B
+/// cap with half-exchange SWAPs, so multi-chunk and half-exchange
+/// lowering stay covered on every (circuit, R, strategy) combination.
 pub fn standard_corpus() -> Vec<CorpusCase> {
     let circuits: Vec<(String, Circuit)> = vec![
         ("qft6".into(), qft(6)),
@@ -54,11 +47,8 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
         ("rand8s3".into(), random_circuit(8, 48, GatePool::Full, 3)),
     ];
     let strategies = [None, Some(Strategy::Greedy), Some(Strategy::beam())];
-    let modes = [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ];
+    // (name, chunk cap, half-exchange SWAPs)
+    let settings = [("1MiB", 1usize << 20, false), ("512B-half", 512, true)];
     let mut cases = Vec::new();
     for (cname, circuit) in &circuits {
         for &ranks in &[1u64, 2, 4, 8] {
@@ -72,30 +62,16 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
                         comm_avoid(circuit, &layout, s, &ByteOracle).with_layout_restored()
                     }
                 };
-                for &mode in &modes {
-                    let idx = cases.len();
+                for &(sname, cap, half) in &settings {
                     let opts = VerifyOptions {
-                        exchange_mode: mode,
-                        // Alternate a small cap to force multi-chunk
-                        // lowering on half the corpus.
-                        chunk_policy: if idx % 2 == 0 {
-                            ChunkPolicy {
-                                max_message_bytes: 1 << 20,
-                            }
-                        } else {
-                            ChunkPolicy {
-                                max_message_bytes: 512,
-                            }
+                        chunk_policy: ChunkPolicy {
+                            max_message_bytes: cap,
                         },
-                        half_exchange_swaps: idx % 3 == 0,
+                        half_exchange_swaps: half,
                         ..VerifyOptions::default()
                     };
                     cases.push(CorpusCase {
-                        name: format!(
-                            "{cname}/R{ranks}/{}/{}",
-                            mode_name(mode),
-                            strategy_name(strategy)
-                        ),
+                        name: format!("{cname}/R{ranks}/{sname}/{}", strategy_name(strategy)),
                         plan: plan.clone(),
                         original: circuit.clone(),
                         n_ranks: ranks,
@@ -116,7 +92,7 @@ mod tests {
     #[test]
     fn the_standard_corpus_is_large_and_clean() {
         let cases = standard_corpus();
-        assert!(cases.len() >= 200, "corpus has {} plans", cases.len());
+        assert_eq!(cases.len(), 144, "corpus size");
         for case in &cases {
             verify_plan(&case.plan, Some(&case.original), case.n_ranks, &case.opts)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", case.name));

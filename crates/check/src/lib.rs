@@ -20,9 +20,9 @@
 //!   run as a tier-1 test and exposed as the `qse-lint` binary.
 //! * [`verify`] — a static plan & protocol verifier: abstractly
 //!   interprets compiled execution plans (fused schedules, transpiled
-//!   `Permute` steps, all three exchange modes), derives each rank's
+//!   `Permute` steps, chunked blocking exchanges), derives each rank's
 //!   symbolic communication trace without executing anything, and proves
-//!   protocol matching, deadlock freedom, buffer bounds, and layout
+//!   protocol matching, deadlock freedom, permutation staging, and layout
 //!   soundness; [`corpus`] generates the standard plan corpus that
 //!   `qse check --plans` and CI sweep.
 

@@ -2,11 +2,11 @@
 //! *before* they run.
 //!
 //! The runtime deadlock detector ([`qse_comm::deadlock`]) only sees
-//! schedules that actually executed; a mismatched tag or an over-budget
-//! streamed ring still costs a timeout on the machine that hits it. This
-//! module closes that gap by abstractly interpreting a compiled execution
-//! plan — fused [`ScheduleStep`] sequences, transpiled [`Plan`] /
-//! [`PlanStep`] permutations, and all three [`ExchangeMode`]s — and
+//! schedules that actually executed; a mismatched tag still costs a
+//! timeout on the machine that hits it. This module closes that gap by
+//! abstractly interpreting a compiled execution plan — fused
+//! [`ScheduleStep`] sequences, transpiled [`Plan`] / [`PlanStep`]
+//! permutations, and the chunked blocking pairwise exchange — and
 //! symbolically deriving every rank's communication trace (ordered
 //! sends / receives with peer, tag, and byte size) for a given rank
 //! count, **without executing anything**. The abstraction mirrors
@@ -23,9 +23,9 @@
 //! 2. **Deadlock freedom** — a scheduler simulation over trace prefixes
 //!    (sends buffer, receives block) always drains; a stuck state is
 //!    reported with a per-rank wait-for diagnosis naming the plan step.
-//! 3. **Buffer bounds** — streamed-mode peak in-flight receive bytes
-//!    never exceed `ring_depth × chunk_size`, and permutation staging
-//!    writes every destination slot exactly once (no scratch aliasing).
+//! 3. **Permutation staging** — every global permutation's staging
+//!    buffer is written exactly once per destination slot (no scratch
+//!    aliasing); checked while the traces are derived.
 //! 4. **Layout soundness** — the qubit permutation tracked through
 //!    `comm_avoid` plan steps composes to exactly [`Plan::layout`] (the
 //!    identity after `with_layout_restored`), replayed independently of
@@ -40,7 +40,7 @@ use qse_circuit::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
 use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, StreamedExchange};
+use qse_comm::chunking::{chunk_tag, ChunkPolicy};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -57,8 +57,6 @@ const ALIAS_EXHAUSTIVE_MAX_AMPS: u64 = 1 << 16;
 /// relevant subset of `statevec::dist::DistConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyOptions {
-    /// Pairwise exchange lowering to derive traces for.
-    pub exchange_mode: ExchangeMode,
     /// Message-size cap; identical chunk boundaries to the runtime.
     pub chunk_policy: ChunkPolicy,
     /// Model the half exchange for one-global distributed SWAPs.
@@ -68,21 +66,16 @@ pub struct VerifyOptions {
     /// still honours it so the verifier interprets the same schedule the
     /// engine executes.
     pub min_fuse: Option<usize>,
-    /// Streamed receive-ring depth (the engine uses
-    /// [`StreamedExchange::DEFAULT_RING_DEPTH`]).
-    pub ring_depth: usize,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
-            exchange_mode: ExchangeMode::Blocking,
             chunk_policy: ChunkPolicy {
                 max_message_bytes: 1 << 20,
             },
             half_exchange_swaps: false,
             min_fuse: None,
-            ring_depth: StreamedExchange::DEFAULT_RING_DEPTH,
         }
     }
 }
@@ -94,9 +87,6 @@ pub enum TraceOp {
     Send { peer: usize, tag: u64, bytes: usize },
     /// Blocking receive of `bytes` from `peer` under wire tag `tag`.
     Recv { peer: usize, tag: u64, bytes: usize },
-    /// Streamed `wait_any`: completes when *any* not-yet-received chunk
-    /// of receive group `group` (see [`RankTrace::groups`]) arrives.
-    RecvAny { peer: usize, group: usize },
 }
 
 /// A trace operation tagged with the plan step that generated it.
@@ -107,50 +97,25 @@ pub struct TraceEvent {
     pub op: TraceOp,
 }
 
-/// The chunk set a streamed exchange posts up front: `wait_any` may
-/// complete its members in any order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecvGroup {
-    pub peer: usize,
-    /// `(wire tag, bytes)` of every posted receive chunk.
-    pub chunks: Vec<(u64, usize)>,
-}
-
-/// A streamed exchange's scratch obligation: the receive ring cycles
-/// `ring_depth` slots over these chunk payloads, so peak in-flight bytes
-/// are the sum of the `ring_depth` largest chunks and must stay within
-/// `ring_depth × cap_bytes`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamedWindow {
-    pub rank: usize,
-    pub step: usize,
-    pub ring_depth: usize,
-    /// The aligned per-chunk byte cap in force for this exchange.
-    pub cap_bytes: usize,
-    pub chunk_bytes: Vec<usize>,
-}
-
 /// One rank's derived trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankTrace {
     pub events: Vec<TraceEvent>,
-    pub groups: Vec<RecvGroup>,
     /// Exact prediction of this rank's
     /// [`qse_comm::TrafficStats::bytes_exchanged`] after running the
     /// plan (the runtime records the *sent* side of every exchange).
     pub predicted_exchanged: u64,
 }
 
-/// Every rank's symbolic trace plus the buffer-bound obligations,
-/// ready for [`check_traces`]. Fields are public so tests and the CLI
-/// can fabricate deliberately broken trace sets and watch them bounce.
+/// Every rank's symbolic trace, ready for [`check_traces`]. Fields are
+/// public so tests and the CLI can fabricate deliberately broken trace
+/// sets and watch them bounce.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSet {
     pub n_ranks: usize,
     /// Human-readable label per plan step, indexed by `TraceEvent::step`.
     pub step_labels: Vec<String>,
     pub ranks: Vec<RankTrace>,
-    pub windows: Vec<StreamedWindow>,
 }
 
 impl TraceSet {
@@ -215,14 +180,6 @@ pub enum VerifyError {
     },
     /// The scheduler simulation got stuck: per-rank wait-for diagnosis.
     Deadlock { blocked: Vec<BlockedRank> },
-    /// A streamed exchange's peak in-flight bytes exceed the ring budget.
-    RingOverrun {
-        rank: usize,
-        step: usize,
-        peak_bytes: usize,
-        budget_bytes: usize,
-        label: String,
-    },
     /// Permutation staging would write a destination slot twice (or miss
     /// one): scratch aliases live amplitude ranges.
     ScratchAlias {
@@ -307,17 +264,6 @@ impl fmt::Display for VerifyError {
                 }
                 Ok(())
             }
-            VerifyError::RingOverrun {
-                rank,
-                step,
-                peak_bytes,
-                budget_bytes,
-                label,
-            } => write!(
-                f,
-                "streamed ring overrun on rank {rank}: peak in-flight {peak_bytes} B \
-                 exceeds ring budget {budget_bytes} B at step {step} ({label})"
-            ),
             VerifyError::ScratchAlias {
                 rank,
                 step,
@@ -371,7 +317,6 @@ struct RankDeriver<'a> {
     seq: u64,
     step: usize,
     trace: RankTrace,
-    windows: Vec<StreamedWindow>,
 }
 
 impl<'a> RankDeriver<'a> {
@@ -383,7 +328,6 @@ impl<'a> RankDeriver<'a> {
             seq: 0,
             step: 0,
             trace: RankTrace::default(),
-            windows: Vec::new(),
         }
     }
 
@@ -406,79 +350,20 @@ impl<'a> RankDeriver<'a> {
     }
 
     /// Lowers one symmetric pairwise exchange (both sides send and
-    /// expect `bytes`) under the configured exchange mode, mirroring
-    /// `comm::chunking::{exchange_blocking, exchange_nonblocking,
-    /// StreamedExchange}` chunk for chunk.
-    fn pair_exchange(&mut self, peer: usize, tag: u64, bytes: usize, align_amps: usize) {
-        match self.opts.exchange_mode {
-            ExchangeMode::Blocking => {
-                // Lockstep: send chunk i, then receive chunk i.
-                for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                    self.push(TraceOp::Send {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
-                    self.push(TraceOp::Recv {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
-                }
-            }
-            ExchangeMode::NonBlocking => {
-                // All isends fly first (irecv posting never blocks), then
-                // the rank awaits its receives in posted order.
-                for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                    self.push(TraceOp::Send {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
-                }
-                for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                    self.push(TraceOp::Recv {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
-                }
-            }
-            ExchangeMode::Streamed => {
-                // `StreamedExchange::begin` aligns chunks to whole kernel
-                // orbits, posts every irecv, primes `ring_depth` sends;
-                // each `next()` sends one more chunk then waits for *any*
-                // outstanding receive.
-                let policy = self.opts.chunk_policy.aligned(align_amps * 16);
-                let chunks: Vec<(u64, usize)> = policy
-                    .ranges(bytes)
-                    .enumerate()
-                    .map(|(i, r)| (chunk_tag(tag, i), r.len()))
-                    .collect();
-                let n = chunks.len();
-                let group = self.trace.groups.len();
-                self.trace.groups.push(RecvGroup {
-                    peer,
-                    chunks: chunks.clone(),
-                });
-                self.windows.push(StreamedWindow {
-                    rank: self.rank as usize,
-                    step: self.step,
-                    ring_depth: self.opts.ring_depth,
-                    cap_bytes: policy.max_message_bytes,
-                    chunk_bytes: chunks.iter().map(|&(_, b)| b).collect(),
-                });
-                let primed = self.opts.ring_depth.min(n);
-                for &(t, b) in &chunks[..primed] {
-                    self.push(TraceOp::Send { peer, tag: t, bytes: b });
-                }
-                for k in 0..n {
-                    if let Some(&(t, b)) = chunks.get(primed + k) {
-                        self.push(TraceOp::Send { peer, tag: t, bytes: b });
-                    }
-                    self.push(TraceOp::RecvAny { peer, group });
-                }
-            }
+    /// expect `bytes`), mirroring `comm::chunking::exchange_blocking`
+    /// chunk for chunk: send chunk i, then receive chunk i.
+    fn pair_exchange(&mut self, peer: usize, tag: u64, bytes: usize) {
+        for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
+            self.push(TraceOp::Send {
+                peer,
+                tag: chunk_tag(tag, i),
+                bytes: range.len(),
+            });
+            self.push(TraceOp::Recv {
+                peer,
+                tag: chunk_tag(tag, i),
+                bytes: range.len(),
+            });
         }
         self.trace.predicted_exchanged += bytes as u64;
     }
@@ -520,7 +405,7 @@ impl<'a> RankDeriver<'a> {
         }
         let pair = self.layout.pair_rank(self.rank, target) as usize;
         let bytes = (self.layout.local_amps() * BYTES_PER_AMP) as usize;
-        self.pair_exchange(pair, tag, bytes, 1);
+        self.pair_exchange(pair, tag, bytes);
     }
 
     fn dist_unitary2(&mut self, a: u32, b: u32, tag: u64) -> Result<(), VerifyError> {
@@ -528,8 +413,7 @@ impl<'a> RankDeriver<'a> {
         if self.layout.is_local(lo) {
             let pair = self.layout.pair_rank(self.rank, hi) as usize;
             let bytes = (self.layout.local_amps() * BYTES_PER_AMP) as usize;
-            // Streamed chunks must cover whole |hi lo⟩ orbits.
-            self.pair_exchange(pair, tag, bytes, 1usize << (lo + 1));
+            self.pair_exchange(pair, tag, bytes);
             Ok(())
         } else {
             // Both global: SWAP `lo` against local qubit 0, apply the
@@ -558,10 +442,10 @@ impl<'a> RankDeriver<'a> {
             if self.opts.half_exchange_swaps {
                 // Each side ships only the half the peer needs.
                 let bytes = (local_amps * BYTES_PER_AMP / 2) as usize;
-                self.pair_exchange(pair, tag, bytes, 1);
+                self.pair_exchange(pair, tag, bytes);
             } else {
                 let bytes = (local_amps * BYTES_PER_AMP) as usize;
-                self.pair_exchange(pair, tag, bytes, 1);
+                self.pair_exchange(pair, tag, bytes);
             }
         } else {
             // Both global: equal-address-bit ranks are spectators.
@@ -574,7 +458,7 @@ impl<'a> RankDeriver<'a> {
                 (1u64 << self.layout.rank_bit(lo)) | (1u64 << self.layout.rank_bit(hi));
             let pair = (self.rank ^ mask) as usize;
             let bytes = (local_amps * BYTES_PER_AMP) as usize;
-            self.pair_exchange(pair, tag, bytes, 1);
+            self.pair_exchange(pair, tag, bytes);
         }
         Ok(())
     }
@@ -774,7 +658,6 @@ pub fn derive_traces(
         n_ranks: n_ranks as usize,
         step_labels,
         ranks: Vec::with_capacity(n_ranks as usize),
-        windows: Vec::new(),
     };
     for rank in 0..n_ranks {
         let mut d = RankDeriver::new(rank, layout, opts);
@@ -802,7 +685,6 @@ pub fn derive_traces(
         if !pending.is_empty() {
             d.run_segment(&pending, &pending_steps)?;
         }
-        ts.windows.extend(d.windows);
         ts.ranks.push(d.trace);
     }
     // Fill in step labels on derivation-time errors' behalf: alias
@@ -848,31 +730,6 @@ fn check_protocol(ts: &TraceSet) -> Result<(), VerifyError> {
                         });
                     }
                     edge.insert(tag, (bytes, ev.step));
-                }
-                TraceOp::RecvAny { peer, group } => {
-                    // A group's obligations are registered once, at its
-                    // first wait; later waits reference the same posts.
-                    let g = &ts.ranks[rank].groups[group];
-                    debug_assert_eq!(g.peer, peer);
-                    let edge = recvs.entry((peer, rank)).or_default();
-                    for &(tag, bytes) in &g.chunks {
-                        match edge.get(&tag) {
-                            Some(&(b, s)) if (b, s) == (bytes, ev.step) => {} // same group, later wait
-                            Some(&(_, first)) if first != ev.step => {
-                                return Err(VerifyError::TagCollision {
-                                    src: peer,
-                                    dst: rank,
-                                    tag,
-                                    first_step: first,
-                                    second_step: ev.step,
-                                    label: ts.label(ev.step),
-                                });
-                            }
-                            _ => {
-                                edge.insert(tag, (bytes, ev.step));
-                            }
-                        }
-                    }
                 }
             }
         }
@@ -932,13 +789,6 @@ fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
     // traces that collide).
     let mut inflight: HashMap<(usize, usize), HashMap<u64, usize>> = HashMap::new();
     let mut pc = vec![0usize; ts.ranks.len()];
-    // Per (rank, group): set of chunk tags not yet consumed.
-    let mut group_left: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
-    for (r, tr) in ts.ranks.iter().enumerate() {
-        for (gi, g) in tr.groups.iter().enumerate() {
-            group_left.insert((r, gi), g.chunks.iter().map(|&(t, _)| t).collect());
-        }
-    }
     loop {
         let mut progressed = false;
         for r in 0..ts.ranks.len() {
@@ -959,22 +809,6 @@ fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
                             break;
                         }
                         *count -= 1;
-                    }
-                    TraceOp::RecvAny { peer, group } => {
-                        let left = group_left.get_mut(&(r, group)).expect("group exists");
-                        let Some(pos) = left.iter().position(|t| {
-                            inflight
-                                .get(&(peer, r))
-                                .and_then(|m| m.get(t))
-                                .is_some_and(|&c| c > 0)
-                        }) else {
-                            break;
-                        };
-                        let tag = left.swap_remove(pos);
-                        *inflight
-                            .get_mut(&(peer, r))
-                            .and_then(|m| m.get_mut(&tag))
-                            .expect("matched above") -= 1;
                     }
                 }
                 pc[r] += 1;
@@ -998,9 +832,6 @@ fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
                         TraceOp::Recv { peer, tag, .. } => {
                             format!("recv(peer={peer}, tag={tag})")
                         }
-                        TraceOp::RecvAny { peer, group } => {
-                            format!("recv_any(peer={peer}, group={group})")
-                        }
                     };
                     BlockedRank {
                         rank: r,
@@ -1015,37 +846,11 @@ fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Property 3: buffer bounds (streamed ring windows).
-// ---------------------------------------------------------------------
-
-fn check_buffer_bounds(ts: &TraceSet) -> Result<(), VerifyError> {
-    for w in &ts.windows {
-        let budget = w.ring_depth * w.cap_bytes;
-        // The receive ring cycles `ring_depth` slots round-robin, so the
-        // worst simultaneous footprint is the `ring_depth` largest chunks.
-        let mut sorted: Vec<usize> = w.chunk_bytes.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let peak: usize = sorted.iter().take(w.ring_depth).sum();
-        if peak > budget || w.chunk_bytes.iter().any(|&c| c > w.cap_bytes) {
-            return Err(VerifyError::RingOverrun {
-                rank: w.rank,
-                step: w.step,
-                peak_bytes: peak.max(*w.chunk_bytes.iter().max().unwrap_or(&0)),
-                budget_bytes: budget,
-                label: ts.label(w.step),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Checks properties 1–3 over an already-derived (or fabricated) trace
-/// set: protocol matching, deadlock freedom, buffer bounds.
+/// Checks properties 1–2 over an already-derived (or fabricated) trace
+/// set: protocol matching and deadlock freedom.
 pub fn check_traces(ts: &TraceSet) -> Result<(), VerifyError> {
     check_protocol(ts)?;
-    check_deadlock_freedom(ts)?;
-    check_buffer_bounds(ts)
+    check_deadlock_freedom(ts)
 }
 
 // ---------------------------------------------------------------------
@@ -1147,8 +952,9 @@ pub fn verify_layout(plan: &Plan, original: Option<&Circuit>) -> Result<(), Veri
 // ---------------------------------------------------------------------
 
 /// Statically verifies `plan` at `n_ranks` ranks under `opts`: layout
-/// soundness (against `original` when given), then protocol matching,
-/// deadlock freedom, and buffer bounds over the derived traces.
+/// soundness (against `original` when given), permutation staging while
+/// deriving the traces, then protocol matching and deadlock freedom over
+/// them.
 pub fn verify_plan(
     plan: &Plan,
     original: Option<&Circuit>,
@@ -1254,7 +1060,6 @@ pub fn broken_fixture_tag_collision() -> TraceSet {
                         op: TraceOp::Send { peer: 1, tag, bytes: 128 },
                     },
                 ],
-                groups: Vec::new(),
                 predicted_exchanged: 256,
             },
             RankTrace {
@@ -1262,29 +1067,9 @@ pub fn broken_fixture_tag_collision() -> TraceSet {
                     step: 0,
                     op: TraceOp::Recv { peer: 0, tag, bytes: 128 },
                 }],
-                groups: Vec::new(),
                 predicted_exchanged: 0,
             },
         ],
-        windows: Vec::new(),
-    }
-}
-
-/// A trace set whose streamed window exceeds `ring_depth × chunk_size`:
-/// property 3 must reject it.
-pub fn broken_fixture_ring_overrun() -> TraceSet {
-    TraceSet {
-        n_ranks: 2,
-        step_labels: vec!["plan step 0: gate H(9) (streamed)".into()],
-        ranks: vec![RankTrace::default(), RankTrace::default()],
-        windows: vec![StreamedWindow {
-            rank: 1,
-            step: 0,
-            ring_depth: 2,
-            cap_bytes: 1 << 10,
-            // Three over-cap chunks: peak 2 × 4096 > budget 2 × 1024.
-            chunk_bytes: vec![4096, 4096, 4096],
-        }],
     }
 }
 
@@ -1307,23 +1092,20 @@ mod tests {
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::{comm_avoid, ByteOracle, Strategy};
 
-    fn opts_for(mode: ExchangeMode) -> VerifyOptions {
+    /// Options with a small chunk cap, forcing multi-chunk exchanges.
+    fn small_chunks() -> VerifyOptions {
         VerifyOptions {
-            exchange_mode: mode,
+            chunk_policy: ChunkPolicy::new(128).unwrap(),
             ..VerifyOptions::default()
         }
     }
 
     #[test]
-    fn qft_traces_verify_in_every_mode() {
+    fn qft_traces_verify_at_every_chunk_cap() {
         let c = qft(6);
-        for mode in [
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
+        for opts in [VerifyOptions::default(), small_chunks()] {
             for ranks in [1u64, 2, 4, 8] {
-                let report = verify_circuit(&c, ranks, &opts_for(mode)).unwrap();
+                let report = verify_circuit(&c, ranks, &opts).unwrap();
                 if ranks == 1 {
                     assert_eq!(report.events, 0, "single rank never communicates");
                 }
@@ -1410,12 +1192,8 @@ mod tests {
         for strategy in [Strategy::Greedy, Strategy::beam()] {
             let layout = Layout::new(7, 4);
             let plan = comm_avoid(&c, &layout, strategy, &ByteOracle).with_layout_restored();
-            for mode in [
-                ExchangeMode::Blocking,
-                ExchangeMode::NonBlocking,
-                ExchangeMode::Streamed,
-            ] {
-                verify_plan(&plan, Some(&c), 4, &opts_for(mode)).unwrap();
+            for opts in [VerifyOptions::default(), small_chunks()] {
+                verify_plan(&plan, Some(&c), 4, &opts).unwrap();
             }
         }
     }
@@ -1436,24 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_small_chunks_stay_within_ring_budget() {
-        let c = qft(7);
-        let opts = VerifyOptions {
-            exchange_mode: ExchangeMode::Streamed,
-            chunk_policy: ChunkPolicy::new(128).unwrap(),
-            ..VerifyOptions::default()
-        };
-        let ts = derive_traces(
-            &Plan::from_circuit(&c, Permutation::identity(7)),
-            4,
-            &opts,
-        )
-        .unwrap();
-        assert!(!ts.windows.is_empty(), "streamed exchanges create windows");
-        check_traces(&ts).unwrap();
-    }
-
-    #[test]
     fn broken_tag_collision_is_rejected() {
         let err = check_traces(&broken_fixture_tag_collision()).unwrap_err();
         match err {
@@ -1461,17 +1221,6 @@ mod tests {
             other => panic!("expected TagCollision, got {other}"),
         }
         assert!(err.to_string().contains("plan step 1"));
-    }
-
-    #[test]
-    fn broken_ring_overrun_is_rejected() {
-        let err = check_traces(&broken_fixture_ring_overrun()).unwrap_err();
-        match err {
-            VerifyError::RingOverrun { rank: 1, budget_bytes, .. } => {
-                assert_eq!(budget_bytes, 2048);
-            }
-            other => panic!("expected RingOverrun, got {other}"),
-        }
     }
 
     #[test]
@@ -1524,14 +1273,12 @@ mod tests {
                     op: TraceOp::Send { peer, tag: 1, bytes: 64 },
                 },
             ],
-            groups: Vec::new(),
             predicted_exchanged: 64,
         };
         let ts = TraceSet {
             n_ranks: 2,
             step_labels: vec!["plan step 0: crossed recv".into()],
             ranks: vec![mk(1), mk(0)],
-            windows: Vec::new(),
         };
         match check_traces(&ts).unwrap_err() {
             VerifyError::Deadlock { blocked } => {

@@ -4,7 +4,10 @@
 //! later. Drives the wait-for-graph detector in `qse_comm::deadlock`
 //! through real `Universe` runs.
 
+use qse_check::{Ctl, Explorer};
+use qse_comm::deadlock::{WaitKind, WaitRegistry};
 use qse_comm::{CommError, Universe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The detector polls every 25 ms; well under this budget.
@@ -125,11 +128,10 @@ fn buffered_but_unmatched_traffic_still_detected() {
 
 #[test]
 fn wait_any_on_never_sent_chunks_fails_fast() {
-    // The streamed exchange's blocked state: rank 0 posts receives for
-    // two chunks and parks in `wait_any`; rank 1 finishes without
-    // sending. The detector must diagnose the RecvAny wait, fast, and
-    // the report must name the wait_any state with its outstanding
-    // count.
+    // Rank 0 posts receives for two chunks and parks in `wait_any`;
+    // rank 1 finishes without sending. The detector must diagnose the
+    // RecvAny wait, fast, and the report must name the wait_any state
+    // with its outstanding count.
     let t0 = Instant::now();
     let out = Universe::with_timeout(2, LONG).run(|c| {
         if c.rank() == 0 {
@@ -230,4 +232,32 @@ fn healthy_exchange_is_not_flagged() {
     });
     assert_eq!(*out[0].as_ref().unwrap(), 3);
     assert!(out[1].is_ok());
+}
+
+/// Rank 0 is blocked on a receive from rank 1 and runs the detector;
+/// rank 1 sends to rank 0 and then enters a barrier. The schedule
+/// explorer may run rank 1 between the detector's per-rank reads, so
+/// the snapshot can see rank 0's in-flight count from before the send
+/// and rank 1's barrier from after it.
+fn send_then_barrier_during_detection(ctl: &Ctl) {
+    let reg = Arc::new(WaitRegistry::new(2));
+    reg.begin_wait(0, WaitKind::Recv { src: 1, tag: 2 }, 0);
+    let peer = Arc::clone(&reg);
+    ctl.spawn(move || {
+        peer.msg_sent(0);
+        peer.begin_wait(1, WaitKind::Barrier, 0);
+    });
+    if let Some(report) = reg.detect(0) {
+        panic!("false deadlock on a live run: {}", report.render());
+    }
+}
+
+#[test]
+fn a_send_racing_the_snapshot_is_never_a_deadlock() {
+    // Rank 1's message is in flight towards rank 0 in every state of
+    // this run, so no schedule may produce a deadlock verdict.
+    let schedules = Explorer::exhaustive()
+        .explore(send_then_barrier_during_detection)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(schedules > 2, "explored only {schedules} schedules");
 }

@@ -48,7 +48,6 @@ fn the_linter_bites_on_a_seeded_uncommented_unsafe() {
     let root = workspace_root();
     for rel in [
         "crates/statevec/src/storage/soa.rs",
-        "crates/statevec/src/storage/aos.rs",
         "crates/util/src/parallel.rs",
     ] {
         let content = std::fs::read_to_string(root.join(rel)).expect("readable");

@@ -146,8 +146,8 @@ fn random_exploration_finds_the_wakeup_order_bug_and_replays_from_seed() {
 /// `wait_any` under every wakeup order: a producer sends three chunks
 /// tagged out of order while the consumer drains them with repeated
 /// `wait_any` calls — whatever interleaving the explorer picks, every
-/// chunk must complete exactly once with its own payload. This is the
-/// completion-order contract the streamed exchange pipeline builds on.
+/// chunk must complete exactly once with its own payload — the
+/// completion-order contract of `wait_any`.
 fn wait_any_wakeup_fixture(ctl: &Ctl) {
     use qse_comm::Universe;
     let mut comms = Universe::new(2).into_communicators().into_iter();

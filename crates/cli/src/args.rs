@@ -139,11 +139,11 @@ mod tests {
 
     #[test]
     fn command_and_flags() {
-        let a = parse(&["run", "--qubits", "12", "--non-blocking"]).unwrap();
+        let a = parse(&["run", "--qubits", "12", "--half-swaps"]).unwrap();
         assert_eq!(a.command, "run");
         assert_eq!(a.required::<u32>("qubits").unwrap(), 12);
-        assert!(a.switch("non-blocking"));
-        assert!(!a.switch("half-swaps"));
+        assert!(a.switch("half-swaps"));
+        assert!(!a.switch("fuse"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use qse_core::{
 use qse_machine::energy::{format_energy, joules_to_kwh};
 use qse_machine::trace::SacctRecord;
 use qse_machine::variants::gpu_machine;
-use qse_machine::{archer2, CpuFrequency, NodeKind};
+use qse_machine::{archer2, CommMode, CpuFrequency, NodeKind};
 
 /// Runs the parsed command, returning the text to print.
 pub fn dispatch(args: &Args) -> Result<String, ArgError> {
@@ -47,7 +47,7 @@ pub fn help_text() -> String {
        info  [--gpu]                machine description\n\
        run   --qubits N [--ranks R] [--circuit qft|ghz|grover|bv]\n\
              [--engine auto|dense|sparse|stabilizer]\n\
-             [--non-blocking] [--streamed] [--half-swaps] [--fuse K] [--basis B]\n\
+             [--half-swaps] [--fuse K] [--basis B]\n\
              [--transpile off|greedy|beam]\n\
              [--faults seed=N[,delay=P][,corrupt=P][,fail=P][,budget=K]...]\n\
                                     execute on the thread cluster (measured);\n\
@@ -77,9 +77,9 @@ pub fn help_text() -> String {
                                     schedule explorer (all must pass);\n\
                                     --plans instead statically verifies the\n\
                                     standard plan corpus (protocol matching,\n\
-                                    deadlock freedom, buffer bounds, layout\n\
-                                    soundness) and proves broken fixtures\n\
-                                    are rejected\n\
+                                    deadlock freedom, permutation staging,\n\
+                                    layout soundness) and proves broken\n\
+                                    fixtures are rejected\n\
        serve [--port P | --stdin] [--workers W] [--queue-cap Q]\n\
              [--mem-budget-mb M] [--cache-mb C] [--max-line-bytes B]\n\
              [--read-timeout-s S]\n\
@@ -204,8 +204,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "ranks",
         "circuit",
         "engine",
-        "non-blocking",
-        "streamed",
         "half-swaps",
         "fuse",
         "basis",
@@ -241,8 +239,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
     let basis: u64 = args.value("basis", 0)?;
     let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
     let mut cfg = SimConfig::default_for(ranks);
-    cfg.non_blocking = args.switch("non-blocking");
-    cfg.streamed = args.switch("streamed");
     cfg.half_exchange_swaps = args.switch("half-swaps");
     cfg.fuse_diagonals = args.optional::<usize>("fuse")?;
     cfg.transpile = parse_transpile(&args.string("transpile", "off"))?;
@@ -275,7 +271,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "ran {} gates on {} qubits over {} ranks in {:.3} s\n\
          distributed-gate share: {:.0} % of wall-clock\n\
          traffic: {} bytes in {} messages ({} bytes/rank)\n\
-         exchange: {} chunks, peak scratch {} bytes, {} payload bytes\n",
+         exchange: {} payload bytes\n",
         p.gate_count,
         p.n_qubits,
         p.n_ranks,
@@ -284,8 +280,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
         p.bytes_sent,
         p.messages_sent,
         p.bytes_per_rank(),
-        p.exchange_chunks,
-        p.peak_inflight_bytes,
         p.bytes_exchanged,
     );
     if let Some(plan) = comm_avoid_plan(&circuit, &cfg) {
@@ -374,8 +368,13 @@ fn model(args: &Args) -> Result<String, ArgError> {
     let mut cfg = SimConfig::default_for(nodes);
     cfg.node_kind = kind;
     cfg.frequency = parse_freq(&args.string("freq", "medium"))?;
-    cfg.non_blocking = args.switch("fast");
-    cfg.streamed = args.switch("streamed");
+    cfg.comm_mode = if args.switch("streamed") {
+        CommMode::Streamed
+    } else if args.switch("fast") {
+        CommMode::NonBlocking
+    } else {
+        CommMode::Blocking
+    };
     cfg.half_exchange_swaps = args.switch("half-swaps");
     cfg.fuse_diagonals = args.optional::<usize>("fuse")?;
     let est = ModelExecutor::new(&machine).run(&circuit, &cfg);
@@ -584,14 +583,14 @@ fn check(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `qse check --plans`: statically verify the standard plan corpus
-/// (circuits × rank counts × exchange modes × transpile strategies),
-/// then prove the verifier still has teeth by feeding it three
-/// deliberately broken fixtures that must each be rejected with a
+/// (circuits × rank counts × transpile strategies × chunk caps), then
+/// prove the verifier still has teeth by feeding it two deliberately
+/// broken fixtures that must each be rejected with a
 /// diagnosis naming the offending plan step.
 fn check_plans() -> Result<String, ArgError> {
     use qse_check::verify::{
-        broken_fixture_ring_overrun, broken_fixture_tag_collision,
-        broken_fixture_unrestored_layout, check_traces, verify_plan, VerifyOptions,
+        broken_fixture_tag_collision, broken_fixture_unrestored_layout, check_traces, verify_plan,
+        VerifyOptions,
     };
     let mut out = String::new();
 
@@ -612,9 +611,8 @@ fn check_plans() -> Result<String, ArgError> {
 
     // Seeded-broken fixtures: each must be rejected, and the diagnosis
     // must carry enough detail to act on.
-    let fixtures: [(&str, Result<(), qse_check::verify::VerifyError>); 3] = [
+    let fixtures: [(&str, Result<(), qse_check::verify::VerifyError>); 2] = [
         ("tag collision", check_traces(&broken_fixture_tag_collision())),
-        ("ring overrun", check_traces(&broken_fixture_ring_overrun())),
         (
             "unrestored layout",
             verify_plan(
@@ -829,10 +827,20 @@ mod tests {
     }
 
     #[test]
-    fn run_streamed_flag_accepted_and_reports_chunks() {
-        let out = run_cli(&["run", "--qubits", "8", "--ranks", "4", "--streamed"]).unwrap();
+    fn run_rejects_the_removed_exchange_flags() {
+        // The thread cluster runs one exchange; the non-blocking and
+        // streamed modes live in the model only (`qse model --fast`,
+        // `--streamed`).
+        for flag in ["--non-blocking", "--streamed"] {
+            let err = run_cli(&["run", "--qubits", "8", "--ranks", "4", flag]).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unknown flag `{flag}` for `run`")),
+                "{msg}"
+            );
+        }
+        let out = run_cli(&["run", "--qubits", "8", "--ranks", "4"]).unwrap();
         assert!(out.contains("exchange:"), "{out}");
-        assert!(out.contains("peak scratch"), "{out}");
     }
 
     #[test]
@@ -1056,9 +1064,8 @@ mod tests {
     #[test]
     fn check_plans_proves_the_corpus_and_bites_on_fixtures() {
         let out = run_cli(&["check", "--plans"]).unwrap();
-        assert!(out.contains("verified 216/216 corpus plans clean"), "{out}");
+        assert!(out.contains("verified 144/144 corpus plans clean"), "{out}");
         assert!(out.contains("broken fixture (tag collision) rejected"), "{out}");
-        assert!(out.contains("broken fixture (ring overrun) rejected"), "{out}");
         assert!(out.contains("broken fixture (unrestored layout) rejected"), "{out}");
         assert!(out.contains("all broken fixtures rejected"), "{out}");
     }

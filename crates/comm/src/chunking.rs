@@ -6,27 +6,17 @@
 //! be larger than 2 GB, so the communication cannot be done in a single
 //! message. Instead, 32 messages are exchanged per distributed gate"
 //! (§2.1). This module reproduces that structure with a configurable cap:
+//! [`exchange_blocking`] is QuEST's original scheme, one blocking
+//! `sendrecv` per chunk, strictly serialised.
 //!
-//! * [`exchange_blocking`] — QuEST's original scheme: one blocking
-//!   `sendrecv` per chunk, strictly serialised;
-//! * [`exchange_nonblocking`] — the paper's improvement: post every
-//!   `isend`/`irecv` up front, then complete them all, letting chunks fly
-//!   concurrently;
-//! * [`StreamedExchange`] — one step further than the paper: chunks are
-//!   *consumed in completion order* via [`crate::Communicator::wait_any`],
-//!   so the caller can apply the gate kernel to each chunk's amplitude
-//!   range while later chunks are still in flight, holding only a small
-//!   ring of chunk-sized scratch buffers instead of the peer's full half.
-//!
-//! All strategies deliver identical bytes; the thread-cluster benchmarks
-//! measure the wall-clock difference, and the analytic model assigns them
-//! different effective bandwidths calibrated from the paper's Table 1.
+//! The paper's non-blocking rewrite is not executed here. The analytic
+//! machine model prices it (`qse_machine::CommMode`) with effective
+//! bandwidths calibrated from the paper's Table 1; on the thread cluster
+//! the executed variants measured within a few percent of blocking.
 
 use crate::error::CommError;
-use crate::nonblocking::Request;
 use crate::Communicator;
 use crate::Result;
-use qse_util::Bytes;
 use std::ops::Range;
 
 /// Message-size policy for chunked transfers.
@@ -80,21 +70,6 @@ impl ChunkPolicy {
         let start = i.saturating_mul(self.max_message_bytes);
         Some(start..usize::min(start.saturating_add(self.max_message_bytes), total))
     }
-
-    /// Derives a policy whose chunk boundaries fall on multiples of
-    /// `align_bytes` (a gate kernel's orbit size), by rounding the cap
-    /// *down* to the nearest multiple — or up to exactly `align_bytes`
-    /// when the cap is smaller. Streamed exchanges need this so every
-    /// chunk maps to a whole number of kernel orbits; both partners derive
-    /// the same policy from the same config, keeping tags and counts
-    /// matched.
-    pub fn aligned(&self, align_bytes: usize) -> ChunkPolicy {
-        assert!(align_bytes > 0, "alignment must be positive");
-        let cap = (self.max_message_bytes / align_bytes).max(1) * align_bytes;
-        ChunkPolicy {
-            max_message_bytes: cap,
-        }
-    }
 }
 
 /// Base tags must leave the low 32 bits for chunk indices.
@@ -145,254 +120,6 @@ pub fn exchange_blocking(
     }
     debug_assert_eq!(recv_buf.len(), expected_recv, "peer sent unexpected size");
     Ok(())
-}
-
-/// Symmetric full exchange with all sends and receives posted up front.
-pub fn exchange_nonblocking(
-    comm: &mut Communicator,
-    peer: usize,
-    base_tag: u64,
-    send_buf: &[u8],
-    recv_buf: &mut Vec<u8>,
-    expected_recv: usize,
-    policy: ChunkPolicy,
-) -> Result<()> {
-    recv_buf.clear();
-    recv_buf.reserve(expected_recv);
-    // Post all receives first (mirrors MPI best practice), then all sends.
-    let recv_reqs: Vec<_> = (0..policy.num_chunks(expected_recv))
-        .map(|i| comm.irecv(peer, chunk_tag(base_tag, i)))
-        .collect::<Result<_>>()?;
-    for (i, r) in policy.ranges(send_buf.len()).enumerate() {
-        comm.isend(peer, chunk_tag(base_tag, i), &send_buf[r])?;
-    }
-    if !send_buf.is_empty() {
-        comm.record_exchange_bytes(send_buf.len() as u64);
-    }
-    for payload in comm.wait_all(recv_reqs)? {
-        recv_buf.extend_from_slice(&payload);
-    }
-    debug_assert_eq!(recv_buf.len(), expected_recv, "peer sent unexpected size");
-    Ok(())
-}
-
-/// A chunk-pipelined exchange in progress: receives are posted up front,
-/// sends are interleaved with completions, and chunks are handed back in
-/// *completion order* so the caller can overlap the gate kernel with the
-/// remaining communication.
-///
-/// Deadlock freedom with a symmetric peer follows by induction: `begin`
-/// primes `ring_depth >= 1` sends before any blocking wait, and every
-/// [`Self::next`] sends one further chunk *before* blocking, so whenever
-/// both partners have completed `k` receives each has already sent at
-/// least `min(ring_depth + k, n)` chunks — always strictly ahead of what
-/// the peer is waiting on. When this side's receives run out, the
-/// remaining sends are flushed so an asymmetric partner (half-exchange)
-/// still completes.
-pub struct StreamedExchange {
-    peer: usize,
-    base_tag: u64,
-    policy: ChunkPolicy,
-    /// Total send bytes fixed at `begin`; `next` asserts the same buffer.
-    send_total: usize,
-    /// Total receive bytes, for mapping chunk indices to byte ranges.
-    recv_total: usize,
-    n_send: usize,
-    next_send: usize,
-    /// Outstanding receive requests, with their chunk indices alongside
-    /// (kept aligned through `swap_remove`).
-    reqs: Vec<Request>,
-    chunk_idx: Vec<usize>,
-    /// Receives completed so far, for the final stats record.
-    completed: usize,
-}
-
-impl StreamedExchange {
-    /// Scratch-ring depth used by the statevector engine: enough to keep
-    /// one chunk in flight while the previous one is being consumed.
-    pub const DEFAULT_RING_DEPTH: usize = 2;
-
-    /// Posts every receive and primes the pipeline with the first
-    /// `ring_depth` sends (at least one). Chunk tags follow
-    /// [`chunk_tag`]`(base_tag, i)` in both directions, so the peer may
-    /// run any exchange strategy with the same policy.
-    pub fn begin(
-        comm: &mut Communicator,
-        peer: usize,
-        base_tag: u64,
-        send_buf: &[u8],
-        expected_recv: usize,
-        policy: ChunkPolicy,
-        ring_depth: usize,
-    ) -> Result<Self> {
-        let ring_depth = ring_depth.max(1);
-        let n_recv = policy.num_chunks(expected_recv);
-        let n_send = policy.num_chunks(send_buf.len());
-        let mut reqs = Vec::with_capacity(n_recv);
-        let mut chunk_idx = Vec::with_capacity(n_recv);
-        for i in 0..n_recv {
-            reqs.push(comm.irecv(peer, chunk_tag(base_tag, i))?);
-            chunk_idx.push(i);
-        }
-        let mut ex = StreamedExchange {
-            peer,
-            base_tag,
-            policy,
-            send_total: send_buf.len(),
-            recv_total: expected_recv,
-            n_send,
-            next_send: 0,
-            reqs,
-            chunk_idx,
-            completed: 0,
-        };
-        for _ in 0..ring_depth.min(n_send) {
-            ex.send_next(comm, send_buf)?;
-        }
-        if ex.reqs.is_empty() {
-            // Nothing to receive: flush and record immediately so `next`
-            // is a pure terminator.
-            ex.finish(comm, send_buf)?;
-        }
-        Ok(ex)
-    }
-
-    /// Sends the next unsent chunk, if any.
-    fn send_next(&mut self, comm: &mut Communicator, send_buf: &[u8]) -> Result<()> {
-        if let Some(r) = self.policy.chunk_range(self.next_send, self.send_total) {
-            comm.send(self.peer, chunk_tag(self.base_tag, self.next_send), &send_buf[r])?;
-            self.next_send += 1;
-        }
-        Ok(())
-    }
-
-    /// Flushes all remaining sends and records the exchange's chunk count
-    /// (the larger direction, so half-exchanges still report their full
-    /// pipeline depth) in the rank's traffic counters.
-    fn finish(&mut self, comm: &mut Communicator, send_buf: &[u8]) -> Result<()> {
-        while self.next_send < self.n_send {
-            self.send_next(comm, send_buf)?;
-        }
-        let chunks = usize::max(self.completed, self.n_send) as u64;
-        if chunks > 0 {
-            comm.record_exchange_chunks(chunks);
-        }
-        if self.send_total > 0 {
-            comm.record_exchange_bytes(self.send_total as u64);
-        }
-        Ok(())
-    }
-
-    /// Advances the pipeline: sends one further chunk, then blocks until
-    /// *some* outstanding receive completes, returning its chunk index,
-    /// its byte range within the expected receive buffer, and its payload.
-    /// Returns `Ok(None)` once every receive has been delivered (after
-    /// flushing any remaining sends).
-    ///
-    /// `send_buf` must be the same buffer passed to [`Self::begin`]; it is
-    /// re-borrowed per call so the caller can hold mutable state (the
-    /// statevector) between calls.
-    pub fn next(
-        &mut self,
-        comm: &mut Communicator,
-        send_buf: &[u8],
-    ) -> Result<Option<(usize, Range<usize>, Bytes)>> {
-        assert_eq!(send_buf.len(), self.send_total, "send buffer changed size");
-        if self.reqs.is_empty() {
-            return Ok(None);
-        }
-        self.send_next(comm, send_buf)?;
-        let (i, payload) = comm.wait_any(&self.reqs)?;
-        let idx = self.chunk_idx[i];
-        self.reqs.swap_remove(i);
-        self.chunk_idx.swap_remove(i);
-        self.completed += 1;
-        let range = self
-            .policy
-            .chunk_range(idx, self.recv_total)
-            .unwrap_or(0..0); // unreachable: idx was derived from the policy
-        debug_assert_eq!(range.len(), payload.len(), "peer sent unexpected chunk size");
-        if self.reqs.is_empty() {
-            // Last receive: complete our side so a caller that stops
-            // polling after the final chunk cannot starve the peer.
-            self.finish(comm, send_buf)?;
-        }
-        Ok(Some((idx, range, payload)))
-    }
-
-    /// Receives still outstanding (for diagnostics and tests).
-    pub fn outstanding(&self) -> usize {
-        self.reqs.len()
-    }
-}
-
-/// Streamed exchange with the assemble-into-a-buffer interface of the
-/// other strategies: drives [`StreamedExchange`] and scatters each chunk
-/// into place as it completes. The statevector engine bypasses this and
-/// applies kernels per chunk instead.
-#[allow(clippy::too_many_arguments)]
-pub fn exchange_streamed(
-    comm: &mut Communicator,
-    peer: usize,
-    base_tag: u64,
-    send_buf: &[u8],
-    recv_buf: &mut Vec<u8>,
-    expected_recv: usize,
-    policy: ChunkPolicy,
-) -> Result<()> {
-    recv_buf.clear();
-    recv_buf.resize(expected_recv, 0);
-    let mut ex = StreamedExchange::begin(
-        comm,
-        peer,
-        base_tag,
-        send_buf,
-        expected_recv,
-        policy,
-        StreamedExchange::DEFAULT_RING_DEPTH,
-    )?;
-    while let Some((_, range, payload)) = ex.next(comm, send_buf)? {
-        recv_buf[range].copy_from_slice(&payload);
-    }
-    Ok(())
-}
-
-/// Strategy selector shared by the statevector engine and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// QuEST's original blocking `MPI_Sendrecv` sequence.
-    #[default]
-    Blocking,
-    /// The paper's non-blocking rewrite (`Isend`/`Irecv` + `Waitall`).
-    NonBlocking,
-    /// Chunk-pipelined streaming: receives complete in arrival order and
-    /// each chunk is consumed while later chunks are still in flight.
-    Streamed,
-}
-
-/// Dispatches to the selected exchange strategy.
-#[allow(clippy::too_many_arguments)]
-pub fn exchange(
-    mode: ExchangeMode,
-    comm: &mut Communicator,
-    peer: usize,
-    base_tag: u64,
-    send_buf: &[u8],
-    recv_buf: &mut Vec<u8>,
-    expected_recv: usize,
-    policy: ChunkPolicy,
-) -> Result<()> {
-    match mode {
-        ExchangeMode::Blocking => {
-            exchange_blocking(comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
-        }
-        ExchangeMode::NonBlocking => {
-            exchange_nonblocking(comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
-        }
-        ExchangeMode::Streamed => {
-            exchange_streamed(comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -499,13 +226,13 @@ mod tests {
         chunk_tag(0, 1usize << 32);
     }
 
-    fn roundtrip(mode: ExchangeMode, len: usize, cap: usize) {
+    fn roundtrip(len: usize, cap: usize) {
         let policy = ChunkPolicy::new(cap).unwrap();
         Universe::new(2).run(|c| {
             let peer = 1 - c.rank();
             let send: Vec<u8> = (0..len).map(|i| (i + c.rank() * 7) as u8).collect();
             let mut recv = Vec::new();
-            exchange(mode, c, peer, 3, &send, &mut recv, len, policy).unwrap();
+            exchange_blocking(c, peer, 3, &send, &mut recv, len, policy).unwrap();
             let expected: Vec<u8> = (0..len).map(|i| (i + peer * 7) as u8).collect();
             assert_eq!(recv, expected);
         });
@@ -513,25 +240,11 @@ mod tests {
 
     #[test]
     fn blocking_exchange_roundtrips() {
-        roundtrip(ExchangeMode::Blocking, 1000, 64);
-        roundtrip(ExchangeMode::Blocking, 64, 64); // exactly one chunk
-        roundtrip(ExchangeMode::Blocking, 65, 64); // one byte spillover
-    }
-
-    #[test]
-    fn nonblocking_exchange_roundtrips() {
-        roundtrip(ExchangeMode::NonBlocking, 1000, 64);
-        roundtrip(ExchangeMode::NonBlocking, 1, 1024);
-        roundtrip(ExchangeMode::NonBlocking, 0, 16); // empty exchange is legal
-    }
-
-    #[test]
-    fn streamed_exchange_roundtrips() {
-        roundtrip(ExchangeMode::Streamed, 1000, 64);
-        roundtrip(ExchangeMode::Streamed, 64, 64); // exactly one chunk
-        roundtrip(ExchangeMode::Streamed, 65, 64); // one byte spillover
-        roundtrip(ExchangeMode::Streamed, 1, 1024);
-        roundtrip(ExchangeMode::Streamed, 0, 16); // empty exchange is legal
+        roundtrip(1000, 64);
+        roundtrip(64, 64); // exactly one chunk
+        roundtrip(65, 64); // one byte spillover
+        roundtrip(1, 1024);
+        roundtrip(0, 16); // empty exchange is legal
     }
 
     #[test]
@@ -542,75 +255,6 @@ mod tests {
         assert_eq!(from_iter, from_index);
         assert_eq!(p.chunk_range(3, 25), None);
         assert_eq!(p.chunk_range(0, 0), None);
-    }
-
-    #[test]
-    fn aligned_policy_rounds_down_with_floor() {
-        let p = ChunkPolicy::new(100).unwrap();
-        assert_eq!(p.aligned(16).max_message_bytes, 96);
-        assert_eq!(p.aligned(100).max_message_bytes, 100);
-        // A cap smaller than the alignment is rounded *up* to one orbit.
-        assert_eq!(p.aligned(128).max_message_bytes, 128);
-        // Already aligned caps are untouched.
-        assert_eq!(ChunkPolicy::new(256).unwrap().aligned(64).max_message_bytes, 256);
-    }
-
-    #[test]
-    fn streamed_driver_yields_every_chunk_exactly_once() {
-        let policy = ChunkPolicy::new(32).unwrap();
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let send: Vec<u8> = (0..300).map(|i| (i + c.rank() * 11) as u8).collect();
-            let mut ex =
-                StreamedExchange::begin(c, peer, 4, &send, 300, policy, 2).unwrap();
-            let mut seen = vec![false; policy.num_chunks(300)];
-            let mut assembled = vec![0u8; 300];
-            while let Some((idx, range, payload)) = ex.next(c, &send).unwrap() {
-                assert!(!seen[idx], "chunk {idx} delivered twice");
-                seen[idx] = true;
-                assert_eq!(range.len(), payload.len());
-                assembled[range].copy_from_slice(&payload);
-            }
-            assert_eq!(ex.outstanding(), 0);
-            assert!(seen.iter().all(|&s| s));
-            let expected: Vec<u8> = (0..300).map(|i| (i + peer * 11) as u8).collect();
-            assert_eq!(assembled, expected);
-        });
-    }
-
-    #[test]
-    fn streamed_asymmetric_sizes_do_not_deadlock() {
-        // Half-exchange shape: one side sends twice as much as the other.
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let my_len = if c.rank() == 0 { 100 } else { 50 };
-            let peer_len = if c.rank() == 0 { 50 } else { 100 };
-            let send = vec![c.rank() as u8; my_len];
-            let mut recv = Vec::new();
-            let policy = ChunkPolicy::new(16).unwrap();
-            exchange_streamed(c, peer, 9, &send, &mut recv, peer_len, policy).unwrap();
-            assert_eq!(recv, vec![peer as u8; peer_len]);
-        });
-    }
-
-    #[test]
-    fn streamed_exchange_records_chunk_stats() {
-        let stats = Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let send = vec![0u8; 256];
-            let mut recv = Vec::new();
-            let policy = ChunkPolicy::new(64).unwrap();
-            exchange_streamed(c, peer, 0, &send, &mut recv, 256, policy).unwrap();
-            c.barrier();
-            c.stats()
-        });
-        for s in stats {
-            assert_eq!(s.messages_sent, 4);
-            assert_eq!(s.bytes_sent, 256);
-            assert_eq!(s.bytes_received, 256);
-            assert_eq!(s.exchange_chunks, 4);
-            assert_eq!(s.bytes_exchanged, 256);
-        }
     }
 
     #[test]
@@ -635,7 +279,7 @@ mod tests {
             let send = vec![0u8; 256];
             let mut recv = Vec::new();
             let policy = ChunkPolicy::new(64).unwrap();
-            exchange_nonblocking(c, peer, 0, &send, &mut recv, 256, policy).unwrap();
+            exchange_blocking(c, peer, 0, &send, &mut recv, 256, policy).unwrap();
             c.barrier();
             c.stats()
         });
@@ -647,110 +291,31 @@ mod tests {
         }
     }
 
-    /// Delay-only fault plan: heavy jitter, nothing else, so chunk
-    /// delivery order is scrambled without any retry machinery engaging.
-    fn delay_jitter(seed: u64) -> crate::FaultConfig {
-        let mut cfg = crate::FaultConfig::disabled(seed);
-        cfg.p_delay = 0.6;
-        cfg.max_delay_slices = 3;
-        cfg
-    }
-
     #[test]
-    fn streamed_completion_order_shuffles_under_delay_jitter() {
-        // Held-back chunks let later chunks overtake them, so wait_any
-        // hands chunks back out of posting order; the per-chunk byte
-        // ranges must still compose into exactly the peer's buffer.
-        let total = 600usize;
-        let policy = ChunkPolicy::new(16).unwrap();
-        let mut saw_reorder = false;
-        for seed in [11u64, 23, 47, 101] {
-            let universe = Universe::with_faults(2, delay_jitter(seed)).unwrap();
-            let orders = universe.run(|c| {
-                let peer = 1 - c.rank();
-                let send: Vec<u8> =
-                    (0..total).map(|i| (i * 3 + c.rank() * 17) as u8).collect();
-                let mut ex =
-                    StreamedExchange::begin(c, peer, 6, &send, total, policy, 2).unwrap();
-                let mut order = Vec::new();
-                let mut assembled = vec![0u8; total];
-                while let Some((idx, range, payload)) = ex.next(c, &send).unwrap() {
-                    order.push(idx);
-                    assert_eq!(range.len(), payload.len());
-                    assembled[range].copy_from_slice(&payload);
-                }
-                let expected: Vec<u8> =
-                    (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
-                assert_eq!(assembled, expected, "seed {seed} reassembly broke");
-                order
-            });
-            for order in orders {
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..policy.num_chunks(total)).collect::<Vec<_>>());
-                if order.windows(2).any(|w| w[0] > w[1]) {
-                    saw_reorder = true;
-                }
-            }
-        }
-        assert!(saw_reorder, "delay jitter never reordered a chunk on any seed");
-    }
-
-    #[test]
-    fn every_mode_survives_recoverable_faults() {
+    fn blocking_exchange_survives_recoverable_faults() {
         // Full fault cocktail (delay + corruption + transient failures),
-        // recoverable by construction: each strategy must deliver exactly
+        // recoverable by construction: the exchange must deliver exactly
         // the fault-free bytes.
-        for &mode in &[
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
-            for seed in [5u64, 9, 31] {
-                let universe =
-                    Universe::with_faults(2, crate::FaultConfig::recoverable(seed)).unwrap();
-                let out = universe.run(|c| {
-                    let peer = 1 - c.rank();
-                    let send: Vec<u8> =
-                        (0..500).map(|i| (i * 7 + c.rank()) as u8).collect();
-                    let mut recv = Vec::new();
-                    let policy = ChunkPolicy::new(64).unwrap();
-                    exchange(mode, c, peer, 2, &send, &mut recv, 500, policy).unwrap();
-                    c.barrier();
-                    (recv, c.stats().faults_injected)
-                });
-                let mut injected_total = 0;
-                for (rank, (recv, injected)) in out.into_iter().enumerate() {
-                    let peer = 1 - rank;
-                    let expected: Vec<u8> =
-                        (0..500).map(|i| (i * 7 + peer) as u8).collect();
-                    assert_eq!(recv, expected, "mode {mode:?} seed {seed} rank {rank}");
-                    injected_total += injected;
-                }
-                assert!(injected_total > 0, "plan {seed} never fired a fault");
-            }
-        }
-    }
-
-    #[test]
-    fn both_modes_deliver_identical_bytes() {
-        for &mode in &[
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
-            let out = Universe::new(2).run(|c| {
+        for seed in [5u64, 9, 31] {
+            let universe =
+                Universe::with_faults(2, crate::FaultConfig::recoverable(seed)).unwrap();
+            let out = universe.run(|c| {
                 let peer = 1 - c.rank();
-                let send: Vec<u8> = (0..777).map(|i| (i * (c.rank() + 2)) as u8).collect();
+                let send: Vec<u8> = (0..500).map(|i| (i * 7 + c.rank()) as u8).collect();
                 let mut recv = Vec::new();
-                let policy = ChunkPolicy::new(100).unwrap();
-                exchange(mode, c, peer, 1, &send, &mut recv, 777, policy).unwrap();
-                recv
+                let policy = ChunkPolicy::new(64).unwrap();
+                exchange_blocking(c, peer, 2, &send, &mut recv, 500, policy).unwrap();
+                c.barrier();
+                (recv, c.stats().faults_injected)
             });
-            let expect0: Vec<u8> = (0..777).map(|i| (i * 3) as u8).collect();
-            let expect1: Vec<u8> = (0..777).map(|i| (i * 2) as u8).collect();
-            assert_eq!(out[0], expect0);
-            assert_eq!(out[1], expect1);
+            let mut injected_total = 0;
+            for (rank, (recv, injected)) in out.into_iter().enumerate() {
+                let peer = 1 - rank;
+                let expected: Vec<u8> = (0..500).map(|i| (i * 7 + peer) as u8).collect();
+                assert_eq!(recv, expected, "seed {seed} rank {rank}");
+                injected_total += injected;
+            }
+            assert!(injected_total > 0, "plan {seed} never fired a fault");
         }
     }
 }

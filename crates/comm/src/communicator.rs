@@ -456,14 +456,14 @@ impl Communicator {
 
     /// Completes *whichever* request in `requests` finishes first,
     /// returning its index and payload — the `MPI_Waitany` analogue that
-    /// lets a streamed exchange process chunks in completion order.
+    /// lets a caller process messages in completion order.
     ///
     /// Send requests are already complete on an eager transport and are
     /// returned immediately (with an empty payload). Among receives, a
     /// buffered out-of-order arrival wins in its arrival order; otherwise
     /// the call blocks like [`Self::recv`], registered in the wait-for
     /// graph as a `wait_any` over the set so the deadlock detector can
-    /// diagnose a stuck streamed exchange in ~50 ms. Non-matching
+    /// diagnose a stuck wait in ~50 ms. Non-matching
     /// arrivals are buffered for later receives exactly as in `recv`.
     ///
     /// Returns `CommError::InvalidConfig` for an empty request set.
@@ -540,30 +540,12 @@ impl Communicator {
         self.registry.end_wait(self.rank);
     }
 
-    /// Records `chunks` completed chunks of one streamed exchange in this
-    /// rank's traffic counters.
-    pub fn record_exchange_chunks(&self, chunks: u64) {
-        self.counters.record_exchange_chunks(chunks);
-    }
-
     /// Records `bytes` of amplitude payload this rank sent as part of a
     /// statevector exchange (pairwise chunked exchange or batched
     /// permutation) — the subset of `bytes_sent` that transpiler
     /// ablations compare.
     pub fn record_exchange_bytes(&self, bytes: u64) {
         self.counters.record_exchange_bytes(bytes);
-    }
-
-    /// Accounts `bytes` of exchange scratch acquired (a ring slot holding
-    /// an in-flight chunk), updating the peak-occupancy high-water mark.
-    pub fn scratch_acquire(&self, bytes: u64) {
-        self.counters.scratch_acquire(bytes);
-    }
-
-    /// Releases `bytes` of exchange scratch previously accounted via
-    /// [`Self::scratch_acquire`].
-    pub fn scratch_release(&self, bytes: u64) {
-        self.counters.scratch_release(bytes);
     }
 
     /// This rank's traffic counters.

@@ -18,11 +18,18 @@
 //! destination's counter *before* the message enters the mailbox and the
 //! receiver decrements it at dequeue, so any message that could still wake
 //! a rank keeps its counter positive and suppresses detection (the safe
-//! direction — detection is retried on the next poll slice). A detected
+//! direction — detection is retried on the next poll slice). The
+//! snapshot reads one rank after another, so it is only trusted when no
+//! registry change landed while it was taken: every change bumps a
+//! registry-wide counter *after* its write, and detection reads that
+//! counter before and after the snapshot. A rank that sends and then
+//! enters a barrier between two of those reads would otherwise appear
+//! as "barrier-blocked, nothing in flight". A detected
 //! deadlock is reported as [`crate::CommError::Deadlock`] with a per-rank
 //! diagnostic (rank → waiting-on peer/tag → queue depths) instead of a
 //! 60-second timeout.
 
+use qse_util::sync::{sync_point, SyncOp};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -140,6 +147,10 @@ pub struct WaitRegistry {
     in_flight: Vec<AtomicU64>,
     /// Set when the rank's communicator is dropped: it can never send.
     done: Vec<AtomicBool>,
+    /// Bumped after every change to a slot, an in-flight counter or a
+    /// done flag; [`Self::detect`] trusts a snapshot only if it did not
+    /// move while the snapshot was taken.
+    changes: AtomicU64,
     /// First proven diagnosis, shared so every stuck rank reports the
     /// same full picture even after earlier detectors unregister.
     verdict: Mutex<Option<DeadlockReport>>,
@@ -152,6 +163,7 @@ impl WaitRegistry {
             slots: (0..size).map(|_| Mutex::new(RankWait::default())).collect(),
             in_flight: (0..size).map(|_| AtomicU64::new(0)).collect(),
             done: (0..size).map(|_| AtomicBool::new(false)).collect(),
+            changes: AtomicU64::new(0),
             verdict: Mutex::new(None),
         }
     }
@@ -170,14 +182,24 @@ impl WaitRegistry {
     /// Marks `rank` blocked on `kind`; `pending_depth` is its current
     /// unexpected-queue depth.
     pub fn begin_wait(&self, rank: usize, kind: WaitKind, pending_depth: usize) {
-        let mut s = self.slot(rank);
-        s.waiting = Some(kind);
-        s.pending_depth = pending_depth;
+        {
+            let mut s = self.slot(rank);
+            s.waiting = Some(kind);
+            s.pending_depth = pending_depth;
+        }
+        self.changed();
     }
 
     /// Marks `rank` running again.
     pub fn end_wait(&self, rank: usize) {
         self.slot(rank).waiting = None;
+        self.changed();
+    }
+
+    /// Records that the wait-for state just changed (called after the
+    /// write, so a snapshot that saw a later change also sees this bump).
+    fn changed(&self) {
+        self.changes.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Updates the diagnostic unexpected-queue depth for `rank`.
@@ -189,35 +211,42 @@ impl WaitRegistry {
     /// *before* the enqueue so detection never misses an in-flight message.
     pub fn msg_sent(&self, dst: usize) {
         self.in_flight[dst].fetch_add(1, Ordering::SeqCst);
+        self.changed();
     }
 
     /// Undo of [`Self::msg_sent`] when the enqueue itself failed.
     pub fn msg_unsent(&self, dst: usize) {
         self.in_flight[dst].fetch_sub(1, Ordering::SeqCst);
+        self.changed();
     }
 
     /// `dst` dequeued one message from its mailbox.
     pub fn msg_delivered(&self, dst: usize) {
         self.in_flight[dst].fetch_sub(1, Ordering::SeqCst);
+        self.changed();
     }
 
     /// The rank's communicator was dropped; it can never send again.
     pub fn mark_done(&self, rank: usize) {
         self.done[rank].store(true, Ordering::SeqCst);
+        self.changed();
     }
 
-    /// Snapshot every rank's state for a report.
+    /// Snapshot every rank's state for a report, one rank after another.
+    /// The schedule explorer may switch threads between two ranks' reads.
     fn snapshot(&self) -> Vec<RankDiag> {
         (0..self.size())
             .map(|r| {
                 let s = self.slot(r).clone();
-                RankDiag {
+                let diag = RankDiag {
                     rank: r,
                     waiting: s.waiting,
                     done: self.done[r].load(Ordering::SeqCst),
                     pending_depth: s.pending_depth,
                     in_flight: self.in_flight[r].load(Ordering::SeqCst),
-                }
+                };
+                sync_point(SyncOp::User("deadlock snapshot: between ranks"));
+                diag
             })
             .collect()
     }
@@ -234,7 +263,13 @@ impl WaitRegistry {
             }
         }
 
+        // A change during the snapshot may have torn it; give no verdict
+        // this slice (a real deadlock changes nothing and is seen next).
+        let before = self.changes.load(Ordering::SeqCst);
         let snap = self.snapshot();
+        if self.changes.load(Ordering::SeqCst) != before {
+            return None;
+        }
         // `me` must still be recv-blocked in the snapshot (it is, unless a
         // racing update is in progress — then skip this slice).
         let my_wait = snap[me].waiting?;

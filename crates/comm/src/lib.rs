@@ -14,12 +14,10 @@
 //!   [`Communicator::irecv`] returning [`nonblocking::Request`]s, with
 //!   [`nonblocking::wait_all`] — the paper's modification that "allows
 //!   multiple messages to be sent and received in parallel" (§3.2) — and
-//!   [`Communicator::wait_any`], completing requests in arrival order so
-//!   [`chunking::StreamedExchange`] can overlap per-chunk computation with
-//!   the remaining communication;
+//!   [`Communicator::wait_any`], completing requests in arrival order;
 //! * message chunking: MPI implementations cap individual messages (2 GB in
 //!   the paper, hence 32 messages per 64 GB exchange); [`chunking`]
-//!   reproduces the cap and both exchange strategies over it;
+//!   reproduces the cap and QuEST's blocking pairwise exchange over it;
 //! * collectives: barrier, broadcast, all-reduce, gather ([`collective`]);
 //! * traffic accounting: every communicator records bytes and message
 //!   counts ([`stats`]), which the performance model and tests consume.

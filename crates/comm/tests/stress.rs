@@ -3,40 +3,29 @@
 //! the failure modes (deadlock, misdelivery, tag collision) that unit
 //! tests are too small to provoke.
 
-use qse_comm::chunking::{exchange, ChunkPolicy, ExchangeMode};
+use qse_comm::chunking::{exchange_blocking, ChunkPolicy};
 use qse_comm::collective;
 use qse_comm::Universe;
 
 /// Full pairwise exchange across every rank-bit, 32 ranks — the exact
 /// communication pattern of a distributed gate sweep over every global
-/// qubit, repeated with both strategies.
+/// qubit.
 #[test]
 fn butterfly_exchange_32_ranks() {
     let ranks = 32usize;
     let policy = ChunkPolicy::new(64).unwrap();
-    for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
-        Universe::new(ranks).run(|comm| {
-            let me = comm.rank();
-            for bit in 0..5u32 {
-                let peer = me ^ (1 << bit);
-                let payload: Vec<u8> = (0..300).map(|i| (me * 31 + i) as u8).collect();
-                let mut recv = Vec::new();
-                exchange(
-                    mode,
-                    comm,
-                    peer,
-                    bit as u64 + 1,
-                    &payload,
-                    &mut recv,
-                    300,
-                    policy,
-                )
+    Universe::new(ranks).run(|comm| {
+        let me = comm.rank();
+        for bit in 0..5u32 {
+            let peer = me ^ (1 << bit);
+            let payload: Vec<u8> = (0..300).map(|i| (me * 31 + i) as u8).collect();
+            let mut recv = Vec::new();
+            exchange_blocking(comm, peer, bit as u64 + 1, &payload, &mut recv, 300, policy)
                 .unwrap();
-                let expect: Vec<u8> = (0..300).map(|i| (peer * 31 + i) as u8).collect();
-                assert_eq!(recv, expect, "bit {bit} mode {mode:?}");
-            }
-        });
-    }
+            let expect: Vec<u8> = (0..300).map(|i| (peer * 31 + i) as u8).collect();
+            assert_eq!(recv, expect, "bit {bit}");
+        }
+    });
 }
 
 /// Randomised all-to-all: every rank sends a distinct payload to every
@@ -84,24 +73,22 @@ fn repeated_collective_rounds() {
 }
 
 /// Large payloads through tiny chunks: a 1 MiB exchange in 1 KiB
-/// messages (1,024 chunks each way) survives both strategies intact.
+/// messages (1,024 chunks each way) survives intact.
 #[test]
 fn megabyte_exchange_in_kilobyte_chunks() {
     let policy = ChunkPolicy::new(1024).unwrap();
-    for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
-        Universe::new(2).run(|comm| {
-            let me = comm.rank();
-            let n = 1 << 20;
-            let payload: Vec<u8> = (0..n).map(|i| ((i * (me + 7)) % 251) as u8).collect();
-            let mut recv = Vec::new();
-            exchange(mode, comm, 1 - me, 3, &payload, &mut recv, n, policy).unwrap();
-            let peer = 1 - me;
-            assert!(recv
-                .iter()
-                .enumerate()
-                .all(|(i, &b)| b == ((i * (peer + 7)) % 251) as u8));
-        });
-    }
+    Universe::new(2).run(|comm| {
+        let me = comm.rank();
+        let n = 1 << 20;
+        let payload: Vec<u8> = (0..n).map(|i| ((i * (me + 7)) % 251) as u8).collect();
+        let mut recv = Vec::new();
+        exchange_blocking(comm, 1 - me, 3, &payload, &mut recv, n, policy).unwrap();
+        let peer = 1 - me;
+        assert!(recv
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| b == ((i * (peer + 7)) % 251) as u8));
+    });
 }
 
 /// Traffic counters stay exact across a large randomised run.

@@ -3,7 +3,7 @@
 use qse_circuit::classify::{choose_engine, EngineChoice};
 use qse_circuit::transpile::Strategy;
 use qse_circuit::Circuit;
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
+use qse_comm::chunking::ChunkPolicy;
 use qse_comm::FaultConfig;
 use qse_machine::{CommMode, CpuFrequency, ModelConfig, NodeKind};
 use qse_statevec::DistConfig;
@@ -102,12 +102,10 @@ impl EngineMode {
 pub struct SimConfig {
     /// Ranks (threads) or nodes — always a power of two.
     pub n_ranks: u64,
-    /// Blocking (QuEST default) or non-blocking exchange (§3.2).
-    pub non_blocking: bool,
-    /// Streamed chunk-pipelined exchange: overlap each chunk's combine
-    /// with the remaining communication. Takes precedence over
-    /// `non_blocking`.
-    pub streamed: bool,
+    /// Blocking (QuEST default), non-blocking (§3.2) or streamed
+    /// exchange (model runs only; the thread cluster always runs
+    /// blocking exchange).
+    pub comm_mode: CommMode,
     /// Half-exchange distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
     /// Fuse diagonal runs of at least this many gates.
@@ -135,8 +133,7 @@ impl SimConfig {
     pub fn default_for(n_ranks: u64) -> Self {
         SimConfig {
             n_ranks,
-            non_blocking: false,
-            streamed: false,
+            comm_mode: CommMode::Blocking,
             half_exchange_swaps: false,
             fuse_diagonals: None,
             max_message_bytes: 1 << 20,
@@ -152,7 +149,7 @@ impl SimConfig {
     /// with a cache-blocked circuit.
     pub fn fast_for(n_ranks: u64) -> Self {
         SimConfig {
-            non_blocking: true,
+            comm_mode: CommMode::NonBlocking,
             ..Self::default_for(n_ranks)
         }
     }
@@ -160,13 +157,6 @@ impl SimConfig {
     /// View as the executable engine's options.
     pub fn to_dist_config(&self) -> DistConfig {
         DistConfig {
-            exchange_mode: if self.streamed {
-                ExchangeMode::Streamed
-            } else if self.non_blocking {
-                ExchangeMode::NonBlocking
-            } else {
-                ExchangeMode::Blocking
-            },
             chunk_policy: ChunkPolicy::new(self.max_message_bytes)
                 .expect("max_message_bytes must be positive"),
             half_exchange_swaps: self.half_exchange_swaps,
@@ -179,13 +169,7 @@ impl SimConfig {
         ModelConfig {
             node_kind: self.node_kind,
             frequency: self.frequency,
-            comm_mode: if self.streamed {
-                CommMode::Streamed
-            } else if self.non_blocking {
-                CommMode::NonBlocking
-            } else {
-                CommMode::Blocking
-            },
+            comm_mode: self.comm_mode,
             half_exchange_swaps: self.half_exchange_swaps,
             fuse_diagonals: self.fuse_diagonals,
             n_nodes: self.n_ranks,
@@ -198,34 +182,94 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_maps_to_blocking_everywhere() {
+    fn default_maps_to_blocking() {
         let c = SimConfig::default_for(8);
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Blocking);
         assert_eq!(c.to_model_config().comm_mode, CommMode::Blocking);
         assert_eq!(c.to_model_config().n_nodes, 8);
         assert!(!c.to_dist_config().half_exchange_swaps);
     }
 
     #[test]
-    fn fast_maps_to_nonblocking_everywhere() {
-        let c = SimConfig::fast_for(8);
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::NonBlocking);
-        assert_eq!(c.to_model_config().comm_mode, CommMode::NonBlocking);
-    }
+    fn comm_mode_changes_the_model_only() {
+        use crate::executor::{ModelExecutor, ThreadClusterExecutor};
+        use qse_circuit::qft::qft;
+        use qse_circuit::random::{random_circuit, GatePool};
+        let modes = [
+            CommMode::Blocking,
+            CommMode::NonBlocking,
+            CommMode::Streamed,
+        ];
+        let with_mode = |n_ranks, comm_mode| SimConfig {
+            comm_mode,
+            ..SimConfig::default_for(n_ranks)
+        };
 
-    #[test]
-    fn streamed_maps_and_takes_precedence() {
-        let mut c = SimConfig::default_for(8);
-        c.streamed = true;
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Streamed);
-        assert_eq!(c.to_model_config().comm_mode, CommMode::Streamed);
-        c.non_blocking = true; // streamed wins when both are set
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Streamed);
-        assert_eq!(c.to_model_config().comm_mode, CommMode::Streamed);
+        // The model prices each mode differently: a 38-qubit QFT on 64
+        // nodes moves multi-chunk (> 2 GiB) exchanges, where streaming
+        // overlaps the combine with the transfer.
+        let machine = qse_machine::archer2();
+        let big = qft(38);
+        let estimates: Vec<f64> = modes
+            .iter()
+            .map(|&m| {
+                ModelExecutor::new(&machine)
+                    .run(&big, &with_mode(64, m))
+                    .runtime_s
+            })
+            .collect();
+        for i in 0..modes.len() {
+            for j in i + 1..modes.len() {
+                assert_ne!(
+                    estimates[i], estimates[j],
+                    "{:?} vs {:?}",
+                    modes[i], modes[j]
+                );
+            }
+        }
+
+        // The thread cluster runs the same blocking exchange for every
+        // mode: gathered state and traffic counters are bit-identical.
+        // Small chunks make every exchange multi-chunk.
+        let cluster_cfg = |m| SimConfig {
+            max_message_bytes: 256,
+            ..with_mode(4, m)
+        };
+        let c = random_circuit(7, 60, GatePool::Full, 3);
+        let runs: Vec<_> = modes
+            .iter()
+            .map(|&m| ThreadClusterExecutor::run(&c, &cluster_cfg(m), 5, true))
+            .collect();
+        let bits = |run: &crate::executor::ClusterRun| -> Vec<(u64, u64)> {
+            let state = run.state.as_ref().expect("gathered");
+            state
+                .iter()
+                .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                .collect()
+        };
+        let traffic = |run: &crate::executor::ClusterRun| {
+            let p = &run.profiled;
+            (p.bytes_sent, p.bytes_exchanged, p.messages_sent)
+        };
+        assert!(
+            runs[0].profiled.bytes_exchanged > 0,
+            "the circuit must communicate"
+        );
+        for (m, run) in modes.iter().zip(&runs).skip(1) {
+            assert_eq!(bits(run), bits(&runs[0]), "{m:?} state");
+            assert_eq!(traffic(run), traffic(&runs[0]), "{m:?} traffic");
+            assert_eq!(
+                cluster_cfg(*m).to_dist_config(),
+                cluster_cfg(modes[0]).to_dist_config()
+            );
+        }
     }
 
     #[test]
     fn options_thread_through() {
+        assert_eq!(
+            SimConfig::fast_for(4).to_model_config().comm_mode,
+            CommMode::NonBlocking
+        );
         let mut c = SimConfig::default_for(4);
         c.half_exchange_swaps = true;
         c.fuse_diagonals = Some(3);

@@ -195,12 +195,6 @@ impl ThreadClusterExecutor {
         let total_bytes: u64 = results.iter().map(|(_, _, s, _)| s.bytes_sent).sum();
         let total_exchanged: u64 = results.iter().map(|(_, _, s, _)| s.bytes_exchanged).sum();
         let total_msgs: u64 = results.iter().map(|(_, _, s, _)| s.messages_sent).sum();
-        let total_chunks: u64 = results.iter().map(|(_, _, s, _)| s.exchange_chunks).sum();
-        let peak_inflight: u64 = results
-            .iter()
-            .map(|(_, _, s, _)| s.peak_inflight_bytes)
-            .max()
-            .unwrap_or(0);
         let faults_injected: u64 = results.iter().map(|(_, _, s, _)| s.faults_injected).sum();
         let retries: u64 = results.iter().map(|(_, _, s, _)| s.retries).sum();
         let corruptions: u64 = results
@@ -220,8 +214,6 @@ impl ThreadClusterExecutor {
                 bytes_sent: total_bytes,
                 bytes_exchanged: total_exchanged,
                 messages_sent: total_msgs,
-                exchange_chunks: total_chunks,
-                peak_inflight_bytes: peak_inflight,
                 gate_count: step_count,
                 faults_injected,
                 retries,
@@ -255,11 +247,9 @@ impl ThreadClusterExecutor {
     ) -> Result<(), CommError> {
         let dc = config.to_dist_config();
         let opts = qse_check::verify::VerifyOptions {
-            exchange_mode: dc.exchange_mode,
             chunk_policy: dc.chunk_policy,
             half_exchange_swaps: dc.half_exchange_swaps,
             min_fuse: dc.min_fuse,
-            ..qse_check::verify::VerifyOptions::default()
         };
         match plan {
             Some(p) => qse_check::verify::verify_plan(p, Some(circuit), config.n_ranks, &opts),
@@ -456,8 +446,6 @@ impl EngineExecutor {
             bytes_sent: 0,
             bytes_exchanged: 0,
             messages_sent: 0,
-            exchange_chunks: 0,
-            peak_inflight_bytes: 0,
             gate_count: circuit.len(),
             faults_injected: 0,
             retries: 0,

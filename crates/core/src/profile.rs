@@ -76,12 +76,6 @@ pub struct ProfiledRun {
     pub bytes_exchanged: u64,
     /// Total messages sent across all ranks.
     pub messages_sent: u64,
-    /// Exchange chunks completed across all ranks (streamed exchanges
-    /// record one per received chunk).
-    pub exchange_chunks: u64,
-    /// Largest exchange-scratch footprint observed on any rank, bytes —
-    /// the streamed path bounds this by ring-depth × chunk size.
-    pub peak_inflight_bytes: u64,
     /// Circuit gate count.
     pub gate_count: usize,
     /// Fault events injected across all ranks (0 without a fault plan).
@@ -114,8 +108,6 @@ impl ToJson for ProfiledRun {
             ("bytes_sent", self.bytes_sent.to_json()),
             ("bytes_exchanged", self.bytes_exchanged.to_json()),
             ("messages_sent", self.messages_sent.to_json()),
-            ("exchange_chunks", self.exchange_chunks.to_json()),
-            ("peak_inflight_bytes", self.peak_inflight_bytes.to_json()),
             ("gate_count", self.gate_count.to_json()),
             ("faults_injected", self.faults_injected.to_json()),
             ("retries", self.retries.to_json()),

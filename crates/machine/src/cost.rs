@@ -6,9 +6,8 @@ use crate::node::NodeKind;
 use crate::power::Phase;
 use qse_circuit::transpile::{ExchangeOracle, PermTraffic, StepCost};
 
-/// Communication strategy, mirroring the executable engine's
-/// `qse_comm::chunking::ExchangeMode` (kept separate so the model crate
-/// does not depend on the transport crate).
+/// Communication strategy priced by the model. The executable engine
+/// runs only the blocking exchange; the other modes are modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CommMode {
     /// QuEST's blocking chunked sendrecv.

@@ -3,8 +3,7 @@
 //! A deliberately small implementation covering exactly what gate kernels
 //! and unitary algebra need: arithmetic, conjugation, magnitude, polar
 //! construction. The struct is `repr(C)` so that a slice of `Complex64`
-//! is layout-compatible with interleaved `[re, im, re, im, ...]` storage,
-//! which the statevector crate's AoS layout relies on.
+//! is layout-compatible with interleaved `[re, im, re, im, ...]` storage.
 
 use std::fmt;
 use std::iter::Sum;

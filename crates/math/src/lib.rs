@@ -4,10 +4,9 @@
 //! every other layer of the reproduction:
 //!
 //! * [`Complex64`] — a from-scratch double-precision complex number. QuEST
-//!   stores amplitudes as *separate* real and imaginary arrays; the paper's
-//!   future-work section proposes switching to an interleaved complex type.
-//!   Owning the type (rather than pulling in an external crate) lets the
-//!   statevector engine implement both layouts over the same scalar.
+//!   stores amplitudes as *separate* real and imaginary arrays, and so does
+//!   the statevector engine here; `Complex64` is the scalar its kernels
+//!   and the unitary algebra compute with.
 //! * [`Matrix2`] / [`Matrix4`] — dense complex matrices for one- and
 //!   two-qubit gates, with unitarity checks used by tests and the circuit IR.
 //! * [`bits`] — bit-index utilities: the entire distributed-simulation

@@ -108,7 +108,7 @@ pub fn load_from_file<S: AmpStorage>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{AosStorage, SoaStorage};
+    use crate::storage::SoaStorage;
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_math::approx::assert_slices_close;
 
@@ -126,14 +126,6 @@ mod tests {
         let restored: SingleState<SoaStorage> = load(&bytes).unwrap();
         assert_slices_close(&restored.to_vec(), &s.to_vec(), 0.0);
         assert_eq!(restored.n_qubits(), 8);
-    }
-
-    #[test]
-    fn cross_layout_round_trip() {
-        // Save from SoA, load into AoS.
-        let s = scrambled(7);
-        let restored: SingleState<AosStorage> = load(&save(&s)).unwrap();
-        assert_slices_close(&restored.to_vec(), &s.to_vec(), 0.0);
     }
 
     #[test]

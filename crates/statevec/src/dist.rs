@@ -23,7 +23,7 @@ use qse_circuit::classify::{classify, GateClass, Layout};
 use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, exchange, ChunkPolicy, ExchangeMode, StreamedExchange};
+use qse_comm::chunking::{chunk_tag, exchange_blocking, ChunkPolicy};
 use qse_comm::collective;
 use qse_comm::message::{bytes_to_f64s, bytes_to_f64s_into, f64s_to_bytes, f64s_to_bytes_into};
 use qse_comm::Result as CommResult;
@@ -34,10 +34,6 @@ use qse_math::Complex64;
 /// Exchange and execution options for a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistConfig {
-    /// Blocking sendrecv (QuEST default), the paper's non-blocking
-    /// rewrite, or the streamed chunk-pipelined exchange that overlaps
-    /// each chunk's combine with the remaining communication.
-    pub exchange_mode: ExchangeMode,
     /// Per-message size cap; ARCHER2's is 2 GiB, tests use small values
     /// to force multi-chunk exchanges.
     pub chunk_policy: ChunkPolicy,
@@ -53,7 +49,6 @@ pub struct DistConfig {
 impl Default for DistConfig {
     fn default() -> Self {
         DistConfig {
-            exchange_mode: ExchangeMode::Blocking,
             chunk_policy: ChunkPolicy {
                 max_message_bytes: 1 << 20,
             },
@@ -80,10 +75,8 @@ pub struct DistributedState<'c, S: AmpStorage = SoaStorage> {
     send_bytes: Vec<u8>,
     recv_bytes: Vec<u8>,
     recv_f64: Vec<f64>,
-    // Ring of chunk-sized decode buffers for the streamed exchange: the
-    // peak scratch footprint is ring-depth × chunk size instead of the
-    // full half-vector the other modes stage through `recv_f64`.
-    recv_ring: Vec<Vec<f64>>,
+    // Chunk-sized decode buffer for the permutation exchange's receives.
+    recv_chunk: Vec<f64>,
 }
 
 /// User exchange tags must stay below `2^31` (see `qse_comm::chunking`).
@@ -116,7 +109,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             send_bytes: Vec::new(),
             recv_bytes: Vec::new(),
             recv_f64: Vec::new(),
-            recv_ring: vec![Vec::new(); StreamedExchange::DEFAULT_RING_DEPTH],
+            recv_chunk: Vec::new(),
         }
     }
 
@@ -192,8 +185,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     /// scratch (lent out; return it with [`Self::release_recv`]).
     fn staged_exchange(&mut self, peer: usize, tag: u64) -> CommResult<Vec<f64>> {
         f64s_to_bytes_into(&self.send_f64, &mut self.send_bytes);
-        exchange(
-            self.config.exchange_mode,
+        exchange_blocking(
             self.comm,
             peer,
             tag,
@@ -212,58 +204,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     /// distributed gate reuses its capacity.
     fn release_recv(&mut self, buf: Vec<f64>) {
         self.recv_f64 = buf;
-    }
-
-    /// Streamed chunk-pipelined exchange (the tentpole of
-    /// `ExchangeMode::Streamed`): ships whatever the caller staged in
-    /// `send_f64` and, as each receive chunk lands, immediately runs
-    /// `apply(amps, start_amp, chunk_f64)` on exactly that amplitude
-    /// range while later chunks are still in flight.
-    ///
-    /// `align_amps` is the kernel's orbit size in amplitudes: chunk
-    /// boundaries are rounded so every chunk covers whole orbits (an
-    /// amplitude is 16 wire bytes). Decoding cycles through the small
-    /// `recv_ring`, so peak exchange scratch is ring-depth × chunk size —
-    /// never the full half vector. The in-flight gauge on the
-    /// communicator tracks exactly that footprint.
-    fn streamed_exchange_apply<F>(
-        &mut self,
-        peer: usize,
-        tag: u64,
-        align_amps: usize,
-        mut apply: F,
-    ) -> CommResult<()>
-    where
-        F: FnMut(&mut S, usize, &[f64]),
-    {
-        f64s_to_bytes_into(&self.send_f64, &mut self.send_bytes);
-        let policy = self.config.chunk_policy.aligned(align_amps * 16);
-        let mut ex = StreamedExchange::begin(
-            self.comm,
-            peer,
-            tag,
-            &self.send_bytes,
-            self.send_bytes.len(),
-            policy,
-            self.recv_ring.len(),
-        )?;
-        let mut held = vec![0u64; self.recv_ring.len()];
-        let mut turn = 0usize;
-        while let Some((_, range, payload)) = ex.next(self.comm, &self.send_bytes)? {
-            let slot = turn % self.recv_ring.len();
-            turn += 1;
-            self.comm.scratch_release(held[slot]);
-            held[slot] = payload.len() as u64;
-            self.comm.scratch_acquire(held[slot]);
-            let buf = &mut self.recv_ring[slot];
-            buf.resize(payload.len() / 8, 0.0);
-            bytes_to_f64s_into(&payload, buf);
-            apply(&mut self.amps, range.start / 16, buf);
-        }
-        for h in held {
-            self.comm.scratch_release(h);
-        }
-        Ok(())
     }
 
     /// Applies one gate, communicating as its locality class requires.
@@ -350,14 +290,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         };
         let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, target));
         let b = crate::ix(self.rank_bit_value(target));
-        if self.config.exchange_mode == ExchangeMode::Streamed {
-            let (c_mine, c_theirs) = (m.at(b, b), m.at(b, 1 - b));
-            self.amps.write_f64_into(&mut self.send_f64);
-            self.streamed_exchange_apply(pair, tag, 1, move |amps, start, chunk| {
-                amps.apply_distributed_1q_range(c_mine, c_theirs, chunk, start, control_local);
-            })?;
-            return Ok(());
-        }
         let theirs = self.exchange_full(pair, tag)?;
         self.amps
             .combine_rows(m.at(b, b), m.at(b, 1 - b), &theirs, control_local);
@@ -392,16 +324,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             };
             let g = self.rank_bit_value(hi);
             let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, hi));
-            if self.config.exchange_mode == ExchangeMode::Streamed {
-                // Chunks must cover whole |hi lo⟩ orbits of 2^{lo+1}
-                // amplitudes so the 4×4 combine never straddles a chunk.
-                let orbit = 1usize << (lo + 1);
-                self.amps.write_f64_into(&mut self.send_f64);
-                self.streamed_exchange_apply(pair, tag, orbit, move |amps, start, chunk| {
-                    amps.apply_distributed_2q_range(lo, g, &m_ord, chunk, start);
-                })?;
-                return Ok(());
-            }
             let theirs = self.exchange_full(pair, tag)?;
             self.amps.combine_orbit4(lo, g, &m_ord, &theirs);
             self.release_recv(theirs);
@@ -437,28 +359,11 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                 // Send the half the peer needs (bit_lo == 1−g), receive the
                 // half we need (bit_lo == g on their side), and write it
                 // into our bit_lo == 1−g slots.
-                if self.config.exchange_mode == ExchangeMode::Streamed {
-                    // Half-exchange payload indexes *pairs*, so the chunk
-                    // start maps through `write_half_bit_range`.
-                    self.amps
-                        .extract_half_bit_into(lo, 1 - g, &mut self.send_f64);
-                    self.streamed_exchange_apply(pair, tag, 1, move |amps, start, chunk| {
-                        amps.write_half_bit_range(lo, 1 - g, chunk, start);
-                    })?;
-                    return Ok(());
-                }
                 let recv = self.exchange_half(pair, tag, lo, 1 - g)?;
                 self.amps.write_half_bit(lo, 1 - g, &recv);
                 self.release_recv(recv);
             } else {
                 // QuEST-style: exchange everything, use half of it.
-                if self.config.exchange_mode == ExchangeMode::Streamed {
-                    self.amps.write_f64_into(&mut self.send_f64);
-                    self.streamed_exchange_apply(pair, tag, 1, move |amps, start, chunk| {
-                        amps.apply_distributed_swap_range(lo, g, chunk, start);
-                    })?;
-                    return Ok(());
-                }
                 let theirs = self.exchange_full(pair, tag)?;
                 let half = self.amps.len() as u64 / 2;
                 for k in 0..half {
@@ -482,13 +387,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             let mask =
                 (1u64 << self.layout.rank_bit(lo)) | (1u64 << self.layout.rank_bit(hi));
             let pair = crate::ix(self.rank() as u64 ^ mask);
-            if self.config.exchange_mode == ExchangeMode::Streamed {
-                self.amps.write_f64_into(&mut self.send_f64);
-                self.streamed_exchange_apply(pair, tag, 1, |amps, start, chunk| {
-                    amps.copy_from_f64_range(chunk, start);
-                })?;
-                return Ok(());
-            }
             let theirs = self.exchange_full(pair, tag)?;
             self.amps.copy_from_f64(&theirs);
             self.release_recv(theirs);
@@ -638,7 +536,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             for (idx, range) in self.config.chunk_policy.ranges(total).enumerate() {
                 let payload = self.comm.recv(crate::ix(w), chunk_tag(tag, idx))?;
                 debug_assert_eq!(payload.len(), range.len(), "chunk length");
-                let buf = &mut self.recv_ring[0];
+                let buf = &mut self.recv_chunk;
                 buf.resize(payload.len() / 8, 0.0);
                 bytes_to_f64s_into(&payload, buf);
                 for (k, pair) in buf.chunks_exact(2).enumerate() {
@@ -826,7 +724,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
 mod tests {
     use super::*;
     use crate::reference::ReferenceState;
-    use crate::storage::AosStorage;
     use qse_circuit::qft::{cache_blocked_qft, qft};
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::cache_blocking::cache_block;
@@ -894,60 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_identical_to_blocking() {
-        let c = random_circuit(7, 50, GatePool::Full, 9);
-        let blocking = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let nonblocking = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                exchange_mode: ExchangeMode::NonBlocking,
-                ..DistConfig::default()
-            },
-            0,
-        );
-        assert_slices_close(&blocking, &nonblocking, 0.0);
-    }
-
-    #[test]
-    fn streamed_identical_to_blocking() {
-        // Tiny chunks force many in-flight pieces per exchange; the
-        // streamed pipeline must still be bit-for-bit deterministic.
-        let c = random_circuit(7, 50, GatePool::Full, 9);
-        let blocking = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let streamed = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                exchange_mode: ExchangeMode::Streamed,
-                chunk_policy: ChunkPolicy::new(128).unwrap(),
-                ..DistConfig::default()
-            },
-            0,
-        );
-        assert_slices_close(&blocking, &streamed, 0.0);
-    }
-
-    #[test]
-    fn streamed_half_exchange_matches_full() {
-        let mut c = Circuit::new(7);
-        c.h(0).swap(0, 6).h(1).swap(5, 6).swap(2, 5).h(6).swap(1, 4);
-        let full = simulate_dist(&c, 8, DistConfig::default(), 3);
-        let streamed_half = simulate_dist(
-            &c,
-            8,
-            DistConfig {
-                exchange_mode: ExchangeMode::Streamed,
-                half_exchange_swaps: true,
-                chunk_policy: ChunkPolicy::new(64).unwrap(),
-                ..DistConfig::default()
-            },
-            3,
-        );
-        assert_slices_close(&full, &streamed_half, 0.0);
-    }
-
-    #[test]
     fn small_chunks_identical_to_large() {
         let c = random_circuit(6, 40, GatePool::Full, 4);
         let large = simulate_dist(&c, 4, DistConfig::default(), 0);
@@ -956,7 +799,6 @@ mod tests {
             4,
             DistConfig {
                 chunk_policy: ChunkPolicy::new(64).unwrap(),
-                exchange_mode: ExchangeMode::NonBlocking,
                 ..DistConfig::default()
             },
             0,
@@ -1026,20 +868,6 @@ mod tests {
             assert_eq!(p.re.to_bits(), f.re.to_bits(), "re at {i}");
             assert_eq!(p.im.to_bits(), f.im.to_bits(), "im at {i}");
         }
-    }
-
-    #[test]
-    fn aos_storage_matches_soa_distributed() {
-        let c = random_circuit(6, 50, GatePool::Full, 33);
-        let soa = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let aos_out = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<AosStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
-            st.run(&c).unwrap();
-            st.gather().unwrap()
-        });
-        let aos = aos_out.into_iter().flatten().next().unwrap();
-        assert_slices_close(&soa, &aos, 1e-12);
     }
 
     #[test]

@@ -12,15 +12,13 @@
 //!   distributed gates exchange the whole local vector with a single pair
 //!   rank (§2.1).
 //!
-//! Storage is pluggable ([`storage`]): QuEST keeps separate real and
-//! imaginary arrays (structure-of-arrays) while the paper's future work
-//! proposes an interleaved complex type for better locality (§4) — both
-//! layouts are implemented and benchmarked.
+//! Storage ([`storage`]) follows QuEST: separate real and imaginary
+//! arrays (structure-of-arrays).
 //!
-//! The communication layer supports the paper's three exchange regimes:
-//! blocking chunked sendrecv (QuEST's default), the non-blocking rewrite
-//! (§3.2), and the half-exchange SWAP (§4 future work) which moves only
-//! the amplitudes a SWAP actually displaces.
+//! Distributed gates exchange through chunked blocking sendrecv (QuEST's
+//! default), optionally with the half-exchange SWAP (§4 future work),
+//! which moves only the amplitudes a SWAP actually displaces. The paper's
+//! non-blocking rewrite (§3.2) is priced by the machine model.
 //!
 //! [`reference::ReferenceState`] is an independent, deliberately naïve
 //! out-of-place simulator used as the correctness oracle for everything
@@ -53,4 +51,4 @@ pub mod storage;
 pub use dist::{DistConfig, DistributedState};
 pub use single::{SingleState, DEFAULT_MIN_FUSE};
 pub use sparse::{SparseState, DEFAULT_PRUNE_EPSILON, MAX_SPARSE_QUBITS};
-pub use storage::{AmpStorage, AosStorage, SoaStorage};
+pub use storage::{AmpStorage, SoaStorage};

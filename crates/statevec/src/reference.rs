@@ -3,7 +3,7 @@
 //! Implemented independently of the production kernels: out-of-place
 //! updates, explicit per-index loops, no storage abstraction, no rayon, no
 //! bit tricks beyond direct shifts. Every production path (local kernels,
-//! both layouts, the distributed engine, the transpiler) is validated
+//! the distributed engine, the transpiler) is validated
 //! against this on random circuits. Usable up to ~20 qubits in tests.
 
 use qse_circuit::{Circuit, Gate};

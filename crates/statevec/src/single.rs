@@ -1,7 +1,7 @@
 //! Single-address-space statevector engine.
 //!
 //! The production kernels without distribution: used by the examples, the
-//! layout/fusion benchmarks, and the reference experiments on one "node".
+//! kernel/fusion benchmarks, and the reference experiments on one "node".
 //! Generic over the amplitude [`storage`](crate::storage) layout.
 
 use crate::diagonal::{diagonal_phase, CompiledDiagonal};
@@ -152,7 +152,6 @@ impl SingleState<SoaStorage> {
 mod tests {
     use super::*;
     use crate::reference::ReferenceState;
-    use crate::storage::AosStorage;
     use qse_circuit::qft::qft;
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_math::approx::{assert_close, assert_slices_close};
@@ -169,13 +168,6 @@ mod tests {
     fn soa_matches_reference_on_random_circuits() {
         for seed in 0..6 {
             assert_matches_reference::<SoaStorage>(6, 100, GatePool::Full, seed);
-        }
-    }
-
-    #[test]
-    fn aos_matches_reference_on_random_circuits() {
-        for seed in 0..6 {
-            assert_matches_reference::<AosStorage>(6, 100, GatePool::Full, seed);
         }
     }
 

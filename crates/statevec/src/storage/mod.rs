@@ -1,24 +1,18 @@
-//! Pluggable amplitude storage layouts.
+//! Amplitude storage.
 //!
 //! QuEST stores the statevector as two separate `qreal` arrays (real and
-//! imaginary parts) — the structure-of-arrays layout, [`SoaStorage`]. The
-//! paper's future work (§4) proposes "reimplement[ing] QuEST's core
-//! data-structures using a complex data type rather than separate real and
-//! imaginary arrays, in order to improve data locality" — the
-//! array-of-structures layout, [`AosStorage`]. Both implement
-//! [`AmpStorage`], the hot-kernel interface the engines are generic over,
-//! so the `layout` Criterion bench can compare them on identical sweeps.
+//! imaginary parts) — the structure-of-arrays layout, [`SoaStorage`], the
+//! one layout the engines run. It implements [`AmpStorage`], the
+//! hot-kernel interface the engines are generic over.
 //!
 //! All kernels treat the storage as the *local* slice of a (possibly
 //! distributed) register: indices are local amplitude indices, and the
 //! diagonal sweep takes a global-index offset so phase functions can see
 //! rank bits.
 
-mod aos;
 pub(crate) mod kernel;
 mod soa;
 
-pub use aos::AosStorage;
 pub use soa::SoaStorage;
 
 use qse_math::{Complex64, Matrix2};
@@ -29,9 +23,7 @@ pub use qse_math::Matrix4;
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Amplitudes per parallel work item (and per half-block sub-chunk of a
-/// single top-qubit sweep). One definition for both layouts so the
-/// chunk policies — and the affinity partition built on them — can
-/// never drift apart.
+/// single top-qubit sweep). The affinity partition is built on it.
 pub const HALF_CHUNK: usize = 4096;
 
 /// The amplitude-array interface every layout implements.
@@ -106,71 +98,6 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
         control: Option<u32>,
     );
 
-    /// [`Self::combine_rows`] restricted to the amplitude sub-range
-    /// `[start, start + chunk.len()/2)`, with `chunk` holding the peer's
-    /// interleaved pairs for exactly that range — the streamed-exchange
-    /// kernel, applied per chunk as it arrives.
-    ///
-    /// The per-amplitude arithmetic is identical to the full combine, and
-    /// amplitudes are elementwise independent, so splitting a combine into
-    /// sub-range calls (in any order) is bit-for-bit identical to one full
-    /// sweep. Layouts override the default `get`/`set` loop with their
-    /// slice kernels.
-    fn apply_distributed_1q_range(
-        &mut self,
-        c_mine: Complex64,
-        c_theirs: Complex64,
-        chunk: &[f64],
-        start: usize,
-        control: Option<u32>,
-    ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        let ctrl_mask = control.map_or(0u64, |c| 1u64 << c);
-        for k in 0..n {
-            let i = start + k;
-            if ctrl_mask != 0 && i as u64 & ctrl_mask == 0 {
-                continue;
-            }
-            let other = Complex64::new(chunk[2 * k], chunk[2 * k + 1]);
-            let v = c_mine * self.get(i) + c_theirs * other;
-            self.set(i, v);
-        }
-    }
-
-    /// Distributed SWAP scatter restricted to a sub-range of the *peer's*
-    /// slice: for every absolute index `i` in `[start, start + chunk.len()/2)`
-    /// whose bit `lo` equals `g` (this rank's value of the global swap
-    /// qubit), the peer amplitude `chunk[i - start]` lands at `i ^ (1<<lo)`.
-    /// Pure copies with disjoint destinations per chunk, so chunk order
-    /// never matters. Covering the whole slice in one call reproduces the
-    /// full-exchange scatter.
-    fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, chunk: &[f64], start: usize) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        for j in 0..n {
-            let i = start + j;
-            if ((i >> lo) & 1) as u64 == g {
-                let l = i ^ (1usize << lo);
-                self.set(l, Complex64::new(chunk[2 * j], chunk[2 * j + 1]));
-            }
-        }
-    }
-
-    /// Overwrites amplitudes `[start, start + chunk.len()/2)` from
-    /// interleaved pairs — the per-chunk form of [`Self::copy_from_f64`]
-    /// used by the streamed both-global SWAP.
-    fn copy_from_f64_range(&mut self, chunk: &[f64], start: usize) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        for j in 0..n {
-            self.set(start + j, Complex64::new(chunk[2 * j], chunk[2 * j + 1]));
-        }
-    }
-
     /// Serialises the whole slice as interleaved `[re, im]` pairs.
     fn to_f64_vec(&self) -> Vec<f64> {
         let mut out = Vec::new();
@@ -201,21 +128,6 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
     /// Writes `data` (interleaved pairs) into the amplitudes whose
     /// local-index bit `q` equals `v`, in ascending index order.
     fn write_half_bit(&mut self, q: u32, v: u64, data: &[f64]);
-
-    /// [`Self::write_half_bit`] restricted to half-slice pairs
-    /// `[start_pair, start_pair + chunk.len()/2)` — the streamed form of
-    /// the half-exchange SWAP write-back, applied per chunk. Pure copies
-    /// to disjoint destinations, so chunk order never matters.
-    fn write_half_bit_range(&mut self, q: u32, v: u64, chunk: &[f64], start_pair: usize) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start_pair + n <= self.len() / 2, "chunk beyond half slice");
-        for j in 0..n {
-            let k = (start_pair + j) as u64;
-            let i = crate::ix(qse_math::bits::insert_zero_bit(k, q) | (v << q));
-            self.set(i, Complex64::new(chunk[2 * j], chunk[2 * j + 1]));
-        }
-    }
 
     /// Materialises the local slice as complex values (tests/gather).
     fn to_complex_vec(&self) -> Vec<Complex64> {
@@ -253,45 +165,16 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
     /// through the rows of `m` selected by `g` — basis order `|b a⟩`.
     fn combine_orbit4(&mut self, a: u32, g: u64, m: &crate::storage::Matrix4, theirs: &[f64]) {
         assert_eq!(theirs.len(), self.len() * 2, "pair buffer size mismatch");
-        self.apply_distributed_2q_range(a, g, m, theirs, 0);
-    }
-
-    /// [`Self::combine_orbit4`] restricted to the amplitude sub-range
-    /// `[start, start + chunk.len()/2)`. Both the start and the length
-    /// must be multiples of the orbit span `2^(a+1)` so every `(i0, i1)`
-    /// pair of an orbit lands inside one chunk — the streamed exchange
-    /// derives its chunk policy with exactly this alignment. Orbits are
-    /// elementwise independent across chunks, so per-chunk application is
-    /// bit-for-bit identical to the full combine.
-    fn apply_distributed_2q_range(
-        &mut self,
-        a: u32,
-        g: u64,
-        m: &crate::storage::Matrix4,
-        chunk: &[f64],
-        start: usize,
-    ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        let orbit = 1usize << (a + 1);
-        assert_eq!(start % orbit, 0, "chunk start must align to the 2q orbit");
-        assert_eq!(n % orbit, 0, "chunk length must align to the 2q orbit");
-        let read_chunk = |i: usize| {
-            let j = i - start;
-            Complex64::new(chunk[2 * j], chunk[2 * j + 1])
-        };
-        // insert_zero_bit(k, a) is monotone, so the orbit bases inside an
-        // aligned range [start, start+n) are exactly k in [start/2, (start+n)/2).
-        for k in (start as u64 / 2)..((start + n) as u64 / 2) {
+        let theirs_at = |i: usize| Complex64::new(theirs[2 * i], theirs[2 * i + 1]);
+        for k in 0..self.len() as u64 / 2 {
             let i0 = crate::ix(qse_math::bits::insert_zero_bit(k, a));
             let i1 = i0 | (1usize << a);
             // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
             let mut v = [Complex64::ZERO; 4];
             v[crate::ix(g << 1)] = self.get(i0);
             v[crate::ix((g << 1) | 1)] = self.get(i1);
-            v[crate::ix((1 - g) << 1)] = read_chunk(i0);
-            v[crate::ix(((1 - g) << 1) | 1)] = read_chunk(i1);
+            v[crate::ix((1 - g) << 1)] = theirs_at(i0);
+            v[crate::ix(((1 - g) << 1) | 1)] = theirs_at(i1);
             let out = m.apply(v);
             self.set(i0, out[crate::ix(g << 1)]);
             self.set(i1, out[crate::ix((g << 1) | 1)]);
@@ -348,28 +231,6 @@ pub(crate) mod conformance {
         large_parallel_sweep_matches_small::<S>();
         controlled_pairs_multi_chunk::<S>();
         large_swap_matches_permutation::<S>();
-        distributed_1q_range_chunks_match_full::<S>();
-        distributed_2q_range_chunks_match_full::<S>();
-        swap_range_chunks_match_full::<S>();
-        half_bit_range_chunks_match_full::<S>();
-        copy_range_chunks_match_full::<S>();
-    }
-
-    /// Peer-buffer fixture: deterministic non-trivial interleaved pairs.
-    fn peer_pairs(len: usize) -> Vec<f64> {
-        (0..len)
-            .flat_map(|i| [(i as f64) * 0.75 - 3.0, 1.0 / (i as f64 + 2.0)])
-            .collect()
-    }
-
-    /// Asserts two storages are bit-for-bit identical.
-    fn assert_bits_equal<S: AmpStorage>(a: &S, b: &S, ctx: &str) {
-        assert_eq!(a.len(), b.len());
-        for i in 0..a.len() {
-            let (x, y) = (a.get(i), b.get(i));
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{ctx}: re at {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{ctx}: im at {i}");
-        }
     }
 
     /// Layout-agnostic reference for a controlled pair sweep: per-element
@@ -435,117 +296,6 @@ pub(crate) mod conformance {
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "swap({a},{b}) im at {i}");
             }
         }
-    }
-
-    fn distributed_1q_range_chunks_match_full<S: AmpStorage>() {
-        let c_mine = Complex64::new(0.6, -0.2);
-        let c_theirs = Complex64::new(0.1, 0.8);
-        let theirs = peer_pairs(32);
-        for control in [None, Some(2u32)] {
-            let mut full: S = ramp(32);
-            full.combine_rows(c_mine, c_theirs, &theirs, control);
-            // Uneven sub-ranges applied out of order must match exactly.
-            let mut chunked: S = ramp(32);
-            for &(start, n) in &[(20usize, 12usize), (0, 6), (6, 14)] {
-                chunked.apply_distributed_1q_range(
-                    c_mine,
-                    c_theirs,
-                    &theirs[2 * start..2 * (start + n)],
-                    start,
-                    control,
-                );
-            }
-            assert_bits_equal(&full, &chunked, "1q range");
-        }
-    }
-
-    fn distributed_2q_range_chunks_match_full<S: AmpStorage>() {
-        let m = Matrix4::new([
-            Complex64::new(0.5, 0.1),
-            Complex64::new(0.2, 0.0),
-            Complex64::new(0.0, -0.3),
-            Complex64::new(0.4, 0.4),
-            Complex64::new(0.1, 0.0),
-            Complex64::new(0.0, 0.9),
-            Complex64::new(0.3, 0.0),
-            Complex64::new(0.0, 0.0),
-            Complex64::new(0.0, 0.2),
-            Complex64::new(0.7, 0.0),
-            Complex64::new(0.1, 0.1),
-            Complex64::new(0.0, -0.5),
-            Complex64::new(0.6, 0.0),
-            Complex64::new(0.0, 0.0),
-            Complex64::new(0.2, -0.2),
-            Complex64::new(0.8, 0.0),
-        ]);
-        let theirs = peer_pairs(32);
-        for a in [0u32, 1, 2] {
-            for g in [0u64, 1] {
-                let mut full: S = ramp(32);
-                full.combine_orbit4(a, g, &m, &theirs);
-                let mut chunked: S = ramp(32);
-                // Orbit-aligned sub-ranges (2^(a+1) | start, len), out of order.
-                let orbit = 1usize << (a + 1);
-                let step = 2 * orbit;
-                let starts: Vec<usize> = (0..32 / step).map(|b| b * step).rev().collect();
-                for start in starts {
-                    chunked.apply_distributed_2q_range(
-                        a,
-                        g,
-                        &m,
-                        &theirs[2 * start..2 * (start + step)],
-                        start,
-                    );
-                }
-                assert_bits_equal(&full, &chunked, "2q range");
-            }
-        }
-    }
-
-    fn swap_range_chunks_match_full<S: AmpStorage>() {
-        let theirs = peer_pairs(32);
-        for lo in [0u32, 2, 4] {
-            for g in [0u64, 1] {
-                let mut full: S = ramp(32);
-                full.apply_distributed_swap_range(lo, g, &theirs, 0);
-                let mut chunked: S = ramp(32);
-                for &(start, n) in &[(24usize, 8usize), (0, 10), (10, 14)] {
-                    chunked.apply_distributed_swap_range(
-                        lo,
-                        g,
-                        &theirs[2 * start..2 * (start + n)],
-                        start,
-                    );
-                }
-                assert_bits_equal(&full, &chunked, "swap range");
-            }
-        }
-    }
-
-    fn half_bit_range_chunks_match_full<S: AmpStorage>() {
-        let half = peer_pairs(16); // 16 pairs for a 32-amp slice
-        for q in [0u32, 3] {
-            for v in [0u64, 1] {
-                let mut full: S = ramp(32);
-                full.write_half_bit(q, v, &half);
-                let mut chunked: S = ramp(32);
-                for &(start, n) in &[(10usize, 6usize), (0, 4), (4, 6)] {
-                    chunked.write_half_bit_range(q, v, &half[2 * start..2 * (start + n)], start);
-                }
-                assert_bits_equal(&full, &chunked, "half-bit range");
-            }
-        }
-    }
-
-    fn copy_range_chunks_match_full<S: AmpStorage>() {
-        let data = peer_pairs(32);
-        let mut full: S = ramp(32);
-        full.copy_from_f64(&data);
-        let mut chunked: S = ramp(32);
-        for &(start, n) in &[(17usize, 15usize), (0, 9), (9, 8)] {
-            chunked.copy_from_f64_range(&data[2 * start..2 * (start + n)], start);
-        }
-        assert_bits_equal(&full, &chunked, "copy range");
     }
 
     fn basic_accessors<S: AmpStorage>() {

@@ -1,8 +1,7 @@
 //! Structure-of-arrays layout: separate real and imaginary arrays.
 //!
 //! This is QuEST's native layout (`qreal *stateVecReal, *stateVecImag`).
-//! Sweeps read two independent streams; the layout benchmark compares it
-//! against the interleaved [`super::AosStorage`].
+//! Sweeps read two independent streams.
 //!
 //! The sweep bodies are written for auto-vectorization: every inner loop
 //! runs over four equal-length re/im sub-slices re-sliced to a shared
@@ -555,36 +554,21 @@ impl AmpStorage for SoaStorage {
         control: Option<u32>,
     ) {
         assert_eq!(theirs.len(), self.len() * 2, "pair buffer size mismatch");
-        self.apply_distributed_1q_range(c_mine, c_theirs, theirs, 0, control);
-    }
-
-    fn apply_distributed_1q_range(
-        &mut self,
-        c_mine: Complex64,
-        c_theirs: Complex64,
-        chunk: &[f64],
-        start: usize,
-        control: Option<u32>,
-    ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
         let ctrl_run = control.map(|c| 1usize << c);
-        let rs = &mut self.re[start..start + n];
-        let is = &mut self.im[start..start + n];
-        if n >= PAR_THRESHOLD {
-            let chunks: Vec<(usize, &mut [f64], &mut [f64], &[f64])> = rs
+        if self.len() >= PAR_THRESHOLD {
+            let chunks: Vec<(usize, &mut [f64], &mut [f64], &[f64])> = self
+                .re
                 .chunks_mut(HALF_CHUNK)
-                .zip(is.chunks_mut(HALF_CHUNK))
-                .zip(chunk.chunks(HALF_CHUNK * 2))
+                .zip(self.im.chunks_mut(HALF_CHUNK))
+                .zip(theirs.chunks(HALF_CHUNK * 2))
                 .enumerate()
                 .map(|(ci, ((rc, ic), tc))| (ci, rc, ic, tc))
                 .collect();
             parallel_for_each_affine(chunks, |(ci, rc, ic, tc)| {
-                sweep_combine(rc, ic, tc, start + ci * HALF_CHUNK, c_mine, c_theirs, ctrl_run);
+                sweep_combine(rc, ic, tc, ci * HALF_CHUNK, c_mine, c_theirs, ctrl_run);
             });
         } else {
-            sweep_combine(rs, is, chunk, start, c_mine, c_theirs, ctrl_run);
+            sweep_combine(&mut self.re, &mut self.im, theirs, 0, c_mine, c_theirs, ctrl_run);
         }
     }
 

@@ -3,13 +3,12 @@
 //!
 //! Under **any recoverable fault plan** (every fault burst fits inside
 //! the retry budget) the simulation must produce a **bit-for-bit**
-//! identical statevector to the fault-free run, in all three exchange
-//! modes, on QFT and random circuits, in both storage layouts, at
-//! R ∈ {2, 4, 8}. Corruption is detected by checksum and healed by the
-//! pristine retransmission; transient failures are retried with
-//! deterministic backoff; delay jitter only reorders chunk completions,
-//! which compose over disjoint amplitude ranges. None of it may change a
-//! single ULP.
+//! identical statevector to the fault-free run, on QFT and random
+//! circuits, at R ∈ {2, 4, 8}. Corruption is detected by checksum and
+//! healed by the pristine retransmission; transient failures are retried
+//! with deterministic backoff; delay jitter only reorders arrivals, which
+//! the receiver buffers until their tag is asked for. None of it may
+//! change a single ULP.
 //!
 //! Unrecoverable plans must surface a typed [`CommError`] from
 //! `DistributedState::run` on every rank — never a hang, never a panic.
@@ -21,10 +20,9 @@
 use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::Circuit;
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
+use qse_comm::chunking::ChunkPolicy;
 use qse_comm::{CommError, FaultConfig, TrafficStats, Universe};
 use qse_math::Complex64;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
 use std::time::Duration;
 
@@ -33,9 +31,8 @@ use std::time::Duration;
 /// chunked paths, not just whole-buffer messages.
 const TINY_CHUNK: usize = 128;
 
-fn dist_config(mode: ExchangeMode) -> DistConfig {
+fn dist_config() -> DistConfig {
     DistConfig {
-        exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(TINY_CHUNK).unwrap(),
         ..DistConfig::default()
     }
@@ -44,7 +41,7 @@ fn dist_config(mode: ExchangeMode) -> DistConfig {
 /// Runs `circuit` over `ranks` ranks (optionally under a fault plan) and
 /// returns the gathered state plus per-rank traffic stats. Only for
 /// plans that must succeed — a rank error propagates out as `Err`.
-fn simulate<S: AmpStorage>(
+fn simulate(
     circuit: &Circuit,
     ranks: usize,
     config: DistConfig,
@@ -55,7 +52,7 @@ fn simulate<S: AmpStorage>(
         None => Universe::new(ranks),
     };
     let out = universe.run(|comm| -> Result<_, CommError> {
-        let mut st: DistributedState<S> =
+        let mut st: DistributedState =
             DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
         st.run(circuit)?;
         st.barrier();
@@ -78,7 +75,7 @@ fn simulate<S: AmpStorage>(
 /// error, just each rank's `DistributedState::run` verdict in rank
 /// order. A short receive deadline bounds the run even if a rank ends up
 /// waiting on a peer that already erred out.
-fn run_collect_errors<S: AmpStorage>(
+fn run_collect_errors(
     circuit: &Circuit,
     ranks: usize,
     config: DistConfig,
@@ -87,7 +84,7 @@ fn run_collect_errors<S: AmpStorage>(
     let universe = Universe::with_timeout_and_faults(ranks, Duration::from_secs(5), faults)
         .expect("plan must validate");
     universe.run(|comm| {
-        let mut st: DistributedState<S> =
+        let mut st: DistributedState =
             DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
         st.run(circuit)
     })
@@ -118,37 +115,27 @@ fn recoverable_plan(seed: u64) -> FaultConfig {
     cfg
 }
 
-/// One seed's full check: fault-free baseline, then all three exchange
-/// modes under the seeded plan, each bit-for-bit against the baseline.
-fn check_seed<S: AmpStorage>(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
+/// One seed's full check: fault-free baseline, then the run under the
+/// seeded plan, bit-for-bit against the baseline.
+fn check_seed(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
     let plan = recoverable_plan(seed);
-    let (baseline, base_stats) =
-        simulate::<S>(circuit, ranks, dist_config(ExchangeMode::Blocking), None)
-            .unwrap_or_else(|e| panic!("seed {seed} {what}: fault-free run failed: {e}"));
+    let (baseline, base_stats) = simulate(circuit, ranks, dist_config(), None)
+        .unwrap_or_else(|e| panic!("seed {seed} {what}: fault-free run failed: {e}"));
     for (rank, s) in base_stats.iter().enumerate() {
         assert_eq!(s.faults_injected, 0, "seed {seed} rank {rank}: clean run injected");
         assert_eq!(s.retries, 0, "seed {seed} rank {rank}: clean run retried");
         assert_eq!(s.corruptions_detected, 0, "seed {seed} rank {rank}: clean run corrupted");
     }
-    let mut injected_total = 0u64;
-    for mode in [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ] {
-        let (state, stats) = simulate::<S>(circuit, ranks, dist_config(mode), Some(plan))
-            .unwrap_or_else(|e| {
-                panic!("seed {seed} {what} mode {mode:?}: recoverable plan errored: {e}")
-            });
-        assert_bits_equal(&state, &baseline, &format!("seed {seed} {what} mode {mode:?}"));
-        injected_total += stats.iter().map(|s| s.faults_injected).sum::<u64>();
-    }
+    let (state, stats) = simulate(circuit, ranks, dist_config(), Some(plan))
+        .unwrap_or_else(|e| panic!("seed {seed} {what}: recoverable plan errored: {e}"));
+    assert_bits_equal(&state, &baseline, &format!("seed {seed} {what}"));
+    let injected_total: u64 = stats.iter().map(|s| s.faults_injected).sum();
     assert!(injected_total > 0, "seed {seed} {what}: plan never injected a fault");
 }
 
-/// Runs one bucket of the 50-seed campaign. Seeds rotate rank count,
-/// storage layout, and circuit family, so every combination in the
-/// acceptance matrix is exercised across the full sweep.
+/// Runs one bucket of the 50-seed campaign. Seeds rotate rank count and
+/// circuit family, so every combination in the acceptance matrix is
+/// exercised across the full sweep.
 fn run_seed_bucket(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let ranks = [2usize, 4, 8][(seed % 3) as usize];
@@ -157,18 +144,13 @@ fn run_seed_bucket(seeds: std::ops::Range<u64>) {
         } else {
             random_circuit(7, 40, GatePool::Full, seed)
         };
-        let what = format!("R={ranks}");
-        if seed % 2 == 0 {
-            check_seed::<SoaStorage>(seed, &circuit, ranks, &format!("{what} soa"));
-        } else {
-            check_seed::<AosStorage>(seed, &circuit, ranks, &format!("{what} aos"));
-        }
+        check_seed(seed, &circuit, ranks, &format!("R={ranks}"));
     }
 }
 
 // The 50-seed campaign, split into buckets so the harness runs them in
-// parallel. Together: 50 recoverable plans × 3 modes, each bit-for-bit
-// against the fault-free baseline.
+// parallel. Together: 50 recoverable plans, each bit-for-bit against the
+// fault-free baseline.
 #[test]
 fn fault_equivalence_seeds_00_to_09() {
     run_seed_bucket(0..10);
@@ -195,31 +177,6 @@ fn fault_equivalence_seeds_40_to_49() {
 }
 
 #[test]
-fn streamed_chunks_reordered_by_jitter_compose_bitwise() {
-    // Delay-only jitter scrambles wait_any completion order; the
-    // per-chunk range kernels must still compose to the exact clean
-    // state. Heavier jitter than the campaign plans, streamed mode only.
-    let circuit = qft(7);
-    let mut plan = FaultConfig::disabled(77);
-    plan.p_delay = 0.7;
-    plan.max_delay_slices = 2;
-    for ranks in [2usize, 4] {
-        let (baseline, _) =
-            simulate::<SoaStorage>(&circuit, ranks, dist_config(ExchangeMode::Blocking), None)
-                .expect("clean run");
-        let (jittered, stats) = simulate::<SoaStorage>(
-            &circuit,
-            ranks,
-            dist_config(ExchangeMode::Streamed),
-            Some(plan),
-        )
-        .expect("delay-only plan is recoverable");
-        assert_bits_equal(&jittered, &baseline, &format!("jittered streamed R={ranks}"));
-        assert!(stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0);
-    }
-}
-
-#[test]
 fn heavy_retries_recover_without_deadlock_reports() {
     // Near-constant transient failures (but within budget) exercise the
     // retry/backoff loop on almost every operation. The run must succeed
@@ -232,16 +189,9 @@ fn heavy_retries_recover_without_deadlock_reports() {
     plan.max_fail_burst = 2;
     plan.retry_budget = 3;
     assert!(plan.is_recoverable());
-    let (baseline, _) =
-        simulate::<SoaStorage>(&circuit, 4, dist_config(ExchangeMode::NonBlocking), None)
-            .expect("clean run");
-    let (state, stats) = simulate::<SoaStorage>(
-        &circuit,
-        4,
-        dist_config(ExchangeMode::NonBlocking),
-        Some(plan),
-    )
-    .unwrap_or_else(|e| panic!("recoverable retry storm errored (seed 13): {e}"));
+    let (baseline, _) = simulate(&circuit, 4, dist_config(), None).expect("clean run");
+    let (state, stats) = simulate(&circuit, 4, dist_config(), Some(plan))
+        .unwrap_or_else(|e| panic!("recoverable retry storm errored (seed 13): {e}"));
     assert_bits_equal(&state, &baseline, "retry storm");
     assert!(stats.iter().map(|s| s.retries).sum::<u64>() > 0, "no retry ever ran");
 }
@@ -249,34 +199,22 @@ fn heavy_retries_recover_without_deadlock_reports() {
 #[test]
 fn unrecoverable_corruption_errors_on_every_rank() {
     let circuit = qft(6);
-    for &mode in &[ExchangeMode::Blocking, ExchangeMode::Streamed] {
-        let out = run_collect_errors::<SoaStorage>(
-            &circuit,
-            4,
-            dist_config(mode),
-            FaultConfig::permanent_corruption(3),
+    let out =
+        run_collect_errors(&circuit, 4, dist_config(), FaultConfig::permanent_corruption(3));
+    assert_eq!(out.len(), 4);
+    for (rank, r) in out.into_iter().enumerate() {
+        let err = r.err().unwrap_or_else(|| panic!("rank {rank} should have failed"));
+        assert!(
+            matches!(err, CommError::Corrupt { .. } | CommError::RecvTimeout { .. }),
+            "rank {rank}: unexpected error {err:?}"
         );
-        assert_eq!(out.len(), 4);
-        for (rank, r) in out.into_iter().enumerate() {
-            let err = r.err()
-                .unwrap_or_else(|| panic!("rank {rank} mode {mode:?} should have failed"));
-            assert!(
-                matches!(err, CommError::Corrupt { .. } | CommError::RecvTimeout { .. }),
-                "rank {rank} mode {mode:?}: unexpected error {err:?}"
-            );
-        }
     }
 }
 
 #[test]
 fn exhausted_retries_error_on_every_rank() {
     let circuit = qft(6);
-    let out = run_collect_errors::<SoaStorage>(
-        &circuit,
-        4,
-        dist_config(ExchangeMode::NonBlocking),
-        FaultConfig::exhausted_retries(5),
-    );
+    let out = run_collect_errors(&circuit, 4, dist_config(), FaultConfig::exhausted_retries(5));
     assert_eq!(out.len(), 4);
     for (rank, r) in out.into_iter().enumerate() {
         let err = r.err().unwrap_or_else(|| panic!("rank {rank} should have failed"));
@@ -296,14 +234,11 @@ fn soak_16_qubit_qft_over_seeded_plans() {
     let circuit = qft(16);
     // Default (1 MiB) chunks: a 16-qubit exchange is one message, which
     // keeps fifty-odd distributed gates affordable under delay jitter.
-    let config = DistConfig {
-        exchange_mode: ExchangeMode::Streamed,
-        ..DistConfig::default()
-    };
-    let (baseline, _) = simulate::<SoaStorage>(&circuit, 4, config, None).expect("clean run");
+    let config = DistConfig::default();
+    let (baseline, _) = simulate(&circuit, 4, config, None).expect("clean run");
     for seed in [101u64, 202, 303] {
         let plan = FaultConfig::recoverable(seed);
-        let (state, stats) = simulate::<SoaStorage>(&circuit, 4, config, Some(plan))
+        let (state, stats) = simulate(&circuit, 4, config, Some(plan))
             .unwrap_or_else(|e| panic!("soak seed {seed}: recoverable plan errored: {e}"));
         assert_bits_equal(&state, &baseline, &format!("soak seed {seed}"));
         assert!(
@@ -316,19 +251,12 @@ fn soak_16_qubit_qft_over_seeded_plans() {
 #[test]
 fn fault_free_runs_take_the_zero_overhead_path() {
     // Acceptance criterion: with faults disabled, no checksums are
-    // stamped and every fault counter stays zero across all modes.
+    // stamped and every fault counter stays zero.
     let circuit = random_circuit(7, 30, GatePool::Full, 9);
-    for mode in [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ] {
-        let (_, stats) =
-            simulate::<SoaStorage>(&circuit, 4, dist_config(mode), None).expect("clean run");
-        for (rank, s) in stats.iter().enumerate() {
-            assert_eq!(s.faults_injected, 0, "rank {rank} mode {mode:?}");
-            assert_eq!(s.retries, 0, "rank {rank} mode {mode:?}");
-            assert_eq!(s.corruptions_detected, 0, "rank {rank} mode {mode:?}");
-        }
+    let (_, stats) = simulate(&circuit, 4, dist_config(), None).expect("clean run");
+    for (rank, s) in stats.iter().enumerate() {
+        assert_eq!(s.faults_injected, 0, "rank {rank}");
+        assert_eq!(s.retries, 0, "rank {rank}");
+        assert_eq!(s.corruptions_detected, 0, "rank {rank}");
     }
 }

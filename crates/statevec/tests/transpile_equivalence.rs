@@ -1,5 +1,5 @@
 //! Property tests for the comm-avoiding transpiler: on every circuit
-//! family, storage layout, rank count and exchange mode, executing the
+//! family and rank count, executing the
 //! transpiled plan (placement search + batched global permutations) must
 //! reproduce the untranspiled distributed run **bit-for-bit** — the
 //! permutation steps move amplitudes without arithmetic, and a relocated
@@ -17,36 +17,16 @@ use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::transpile::{comm_avoid, ByteOracle, Plan, Strategy};
 use qse_circuit::Circuit;
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
 use qse_comm::Universe;
 use qse_math::Complex64;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
-
-const MODES: [ExchangeMode; 3] = [
-    ExchangeMode::Blocking,
-    ExchangeMode::NonBlocking,
-    ExchangeMode::Streamed,
-];
-
-fn config(mode: ExchangeMode) -> DistConfig {
-    DistConfig {
-        exchange_mode: mode,
-        chunk_policy: ChunkPolicy::new(1 << 20).unwrap(),
-        ..DistConfig::default()
-    }
-}
 
 /// Runs the untranspiled circuit and returns the gathered state plus the
 /// total amplitude payload exchanged across ranks.
-fn run_plain<S: AmpStorage>(
-    circuit: &Circuit,
-    ranks: usize,
-    config: DistConfig,
-) -> (Vec<Complex64>, u64) {
+fn run_plain(circuit: &Circuit, ranks: usize) -> (Vec<Complex64>, u64) {
     let out = Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
+        let mut st: DistributedState =
+            DistributedState::basis_state(comm, circuit.n_qubits(), 1, DistConfig::default());
         st.run(circuit).unwrap();
         st.barrier();
         let exchanged = st.stats().bytes_exchanged;
@@ -57,10 +37,10 @@ fn run_plain<S: AmpStorage>(
 
 /// Runs a transpiled plan and returns the gathered state plus the total
 /// amplitude payload exchanged across ranks.
-fn run_plan<S: AmpStorage>(plan: &Plan, ranks: usize, config: DistConfig) -> (Vec<Complex64>, u64) {
+fn run_plan(plan: &Plan, ranks: usize) -> (Vec<Complex64>, u64) {
     let out = Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, plan.n_qubits(), 1, config);
+        let mut st: DistributedState =
+            DistributedState::basis_state(comm, plan.n_qubits(), 1, DistConfig::default());
         st.run_plan(plan).unwrap();
         st.barrier();
         let exchanged = st.stats().bytes_exchanged;
@@ -99,61 +79,41 @@ enum Bar {
     Close,
 }
 
-/// The property: for each strategy and exchange mode, the restored-layout
-/// plan reproduces the untranspiled run (to `bar`) and exchanges no more
-/// payload.
-fn check_equivalence<S: AmpStorage>(circuit: &Circuit, ranks: usize, bar: Bar, what: &str) {
+/// The property: for each strategy, the restored-layout plan reproduces
+/// the untranspiled run (to `bar`) and exchanges no more payload.
+fn check_equivalence(circuit: &Circuit, ranks: usize, bar: Bar, what: &str) {
     let layout = Layout::new(circuit.n_qubits(), ranks as u64);
+    let (want, plain_bytes) = run_plain(circuit, ranks);
     for (name, strategy) in [("greedy", Strategy::Greedy), ("beam", Strategy::beam())] {
         let plan = comm_avoid(circuit, &layout, strategy, &ByteOracle).with_layout_restored();
-        for mode in MODES {
-            let tag = format!("{what} {name} {mode:?}");
-            let (want, plain_bytes) = run_plain::<S>(circuit, ranks, config(mode));
-            let (got, plan_bytes) = run_plan::<S>(&plan, ranks, config(mode));
-            match bar {
-                Bar::Bitwise => assert_bits_equal(&got, &want, &tag),
-                Bar::Close => {
-                    qse_math::approx::assert_slices_close(&got, &want, 1e-9);
-                }
+        let tag = format!("{what} {name}");
+        let (got, plan_bytes) = run_plan(&plan, ranks);
+        match bar {
+            Bar::Bitwise => assert_bits_equal(&got, &want, &tag),
+            Bar::Close => {
+                qse_math::approx::assert_slices_close(&got, &want, 1e-9);
             }
-            assert!(
-                plan_bytes <= plain_bytes,
-                "{tag}: transpiled exchanged more ({plan_bytes} > {plain_bytes})"
-            );
         }
+        assert!(
+            plan_bytes <= plain_bytes,
+            "{tag}: transpiled exchanged more ({plan_bytes} > {plain_bytes})"
+        );
     }
 }
 
 #[test]
-fn qft_transpiled_bitwise_equal_soa() {
+fn qft_transpiled_bitwise_equal() {
     for ranks in [1usize, 2, 4, 8] {
-        check_equivalence::<SoaStorage>(&qft(9), ranks, Bar::Bitwise, &format!("qft soa R={ranks}"));
+        check_equivalence(&qft(9), ranks, Bar::Bitwise, &format!("qft R={ranks}"));
     }
 }
 
 #[test]
-fn qft_transpiled_bitwise_equal_aos() {
+fn random_circuits_transpiled_close() {
     for ranks in [1usize, 2, 4, 8] {
-        check_equivalence::<AosStorage>(&qft(9), ranks, Bar::Bitwise, &format!("qft aos R={ranks}"));
-    }
-}
-
-#[test]
-fn random_circuits_transpiled_close_soa() {
-    for ranks in [1usize, 2, 4, 8] {
-        for seed in 0..3 {
+        for seed in 0..5 {
             let c = random_circuit(8, 60, GatePool::Full, seed);
-            check_equivalence::<SoaStorage>(&c, ranks, Bar::Close, &format!("seed {seed} soa R={ranks}"));
-        }
-    }
-}
-
-#[test]
-fn random_circuits_transpiled_close_aos() {
-    for ranks in [1usize, 2, 4, 8] {
-        for seed in 3..5 {
-            let c = random_circuit(8, 60, GatePool::Full, seed);
-            check_equivalence::<AosStorage>(&c, ranks, Bar::Close, &format!("seed {seed} aos R={ranks}"));
+            check_equivalence(&c, ranks, Bar::Close, &format!("seed {seed} R={ranks}"));
         }
     }
 }
@@ -165,7 +125,7 @@ fn qft_like_random_circuits_transpiled_bitwise_equal() {
     for ranks in [4usize, 8] {
         for seed in 10..12 {
             let c = random_circuit(8, 60, GatePool::QftLike, seed);
-            check_equivalence::<SoaStorage>(&c, ranks, Bar::Bitwise, &format!("qftlike {seed} R={ranks}"));
+            check_equivalence(&c, ranks, Bar::Bitwise, &format!("qftlike {seed} R={ranks}"));
         }
     }
 }
@@ -179,11 +139,11 @@ fn qft_n20_r4_exchanged_bytes_drop_at_least_25_percent() {
     let ranks = 4usize;
     let circuit = qft(n);
     let layout = Layout::new(n, ranks as u64);
-    let (want, plain_bytes) = run_plain::<SoaStorage>(&circuit, ranks, config(ExchangeMode::Blocking));
+    let (want, plain_bytes) = run_plain(&circuit, ranks);
     assert!(plain_bytes > 0, "baseline exchanged nothing");
     for (name, strategy) in [("greedy", Strategy::Greedy), ("beam", Strategy::beam())] {
         let plan = comm_avoid(&circuit, &layout, strategy, &ByteOracle).with_layout_restored();
-        let (got, plan_bytes) = run_plan::<SoaStorage>(&plan, ranks, config(ExchangeMode::Blocking));
+        let (got, plan_bytes) = run_plan(&plan, ranks);
         assert_bits_equal(&got, &want, name);
         assert!(
             plan_bytes * 4 <= plain_bytes * 3,

@@ -1,8 +1,8 @@
 //! Cross-validation of the static plan verifier (`qse-check::verify`)
 //! against the running engine: the symbolic trace's per-rank byte totals
 //! must equal the measured `TrafficStats.bytes_exchanged` **bit-for-bit**
-//! on every run — across storage layouts, rank counts, exchange modes,
-//! half-exchange SWAPs and transpile strategies — and every plan the
+//! on every run — across rank counts, chunk caps, half-exchange SWAPs
+//! and transpile strategies — and every plan the
 //! equivalence suites execute must verify statically before it runs.
 
 use qse_check::verify::{derive_traces, verify_plan, VerifyOptions};
@@ -11,20 +11,12 @@ use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::transpile::{comm_avoid, ByteOracle, Plan, Strategy};
 use qse_circuit::{Circuit, Permutation};
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
+use qse_comm::chunking::ChunkPolicy;
 use qse_comm::Universe;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
 
-const MODES: [ExchangeMode; 3] = [
-    ExchangeMode::Blocking,
-    ExchangeMode::NonBlocking,
-    ExchangeMode::Streamed,
-];
-
-fn dist_config(mode: ExchangeMode, chunk: usize, half: bool) -> DistConfig {
+fn dist_config(chunk: usize, half: bool) -> DistConfig {
     DistConfig {
-        exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(chunk).unwrap(),
         half_exchange_swaps: half,
         ..DistConfig::default()
@@ -33,19 +25,17 @@ fn dist_config(mode: ExchangeMode, chunk: usize, half: bool) -> DistConfig {
 
 fn verify_opts(config: DistConfig) -> VerifyOptions {
     VerifyOptions {
-        exchange_mode: config.exchange_mode,
         chunk_policy: config.chunk_policy,
         half_exchange_swaps: config.half_exchange_swaps,
         min_fuse: config.min_fuse,
-        ..VerifyOptions::default()
     }
 }
 
 /// Runs `plan` on `ranks` ranks and returns each rank's measured
 /// `bytes_exchanged`, in rank order.
-fn measured_exchanged<S: AmpStorage>(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<u64> {
+fn measured_exchanged(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<u64> {
     Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> =
+        let mut st: DistributedState =
             DistributedState::basis_state(comm, plan.n_qubits(), 1, config);
         st.run_plan(plan).unwrap();
         st.barrier();
@@ -65,7 +55,7 @@ fn plan_for(circuit: &Circuit, ranks: u64, strategy: Option<Strategy>) -> Plan {
 
 /// The property: symbolic per-rank byte totals equal the runtime's
 /// measured `bytes_exchanged` exactly.
-fn check_bytes_match<S: AmpStorage>(
+fn check_bytes_match(
     circuit: &Circuit,
     ranks: u64,
     strategy: Option<Strategy>,
@@ -78,7 +68,7 @@ fn check_bytes_match<S: AmpStorage>(
         .unwrap_or_else(|e| panic!("{what}: plan failed static verification: {e}"));
     let ts = derive_traces(&plan, ranks, &opts).unwrap();
     let predicted: Vec<u64> = ts.ranks.iter().map(|r| r.predicted_exchanged).collect();
-    let measured = measured_exchanged::<S>(&plan, ranks as usize, config);
+    let measured = measured_exchanged(&plan, ranks as usize, config);
     assert_eq!(
         predicted, measured,
         "{what}: symbolic trace bytes diverge from measured TrafficStats"
@@ -86,37 +76,33 @@ fn check_bytes_match<S: AmpStorage>(
 }
 
 #[test]
-fn symbolic_bytes_match_measured_qft_soa() {
+fn symbolic_bytes_match_measured_qft() {
     let c = qft(8);
     for ranks in [2u64, 4, 8] {
-        for mode in MODES {
-            for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
-                check_bytes_match::<SoaStorage>(
-                    &c,
-                    ranks,
-                    strategy,
-                    dist_config(mode, 1 << 20, false),
-                    &format!("qft8 soa R={ranks} {mode:?} {strategy:?}"),
-                );
-            }
+        for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
+            check_bytes_match(
+                &c,
+                ranks,
+                strategy,
+                dist_config(1 << 20, false),
+                &format!("qft8 R={ranks} {strategy:?}"),
+            );
         }
     }
 }
 
 #[test]
-fn symbolic_bytes_match_measured_random_aos() {
+fn symbolic_bytes_match_measured_random() {
     for (seed, ranks) in [(0u64, 2u64), (1, 4), (2, 8)] {
         let c = random_circuit(7, 40, GatePool::Full, seed);
-        for mode in MODES {
-            for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
-                check_bytes_match::<AosStorage>(
-                    &c,
-                    ranks,
-                    strategy,
-                    dist_config(mode, 1 << 20, false),
-                    &format!("rand7s{seed} aos R={ranks} {mode:?} {strategy:?}"),
-                );
-            }
+        for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
+            check_bytes_match(
+                &c,
+                ranks,
+                strategy,
+                dist_config(1 << 20, false),
+                &format!("rand7s{seed} R={ranks} {strategy:?}"),
+            );
         }
     }
 }
@@ -127,16 +113,14 @@ fn symbolic_bytes_match_measured_small_chunks_and_half_exchange() {
     // the one-global swap payload — both must stay exact.
     let c = qft(7);
     for ranks in [2u64, 4] {
-        for mode in MODES {
-            for half in [false, true] {
-                check_bytes_match::<SoaStorage>(
-                    &c,
-                    ranks,
-                    None,
-                    dist_config(mode, 256, half),
-                    &format!("qft7 chunked R={ranks} {mode:?} half={half}"),
-                );
-            }
+        for half in [false, true] {
+            check_bytes_match(
+                &c,
+                ranks,
+                None,
+                dist_config(256, half),
+                &format!("qft7 chunked R={ranks} half={half}"),
+            );
         }
     }
 }
@@ -145,19 +129,17 @@ fn symbolic_bytes_match_measured_small_chunks_and_half_exchange() {
 fn symbolic_bytes_match_measured_unfused() {
     // Fusion off: the verifier walks the per-gate schedule instead.
     let c = random_circuit(7, 30, GatePool::QftLike, 11);
-    for mode in MODES {
-        let config = DistConfig {
-            min_fuse: None,
-            ..dist_config(mode, 1 << 20, false)
-        };
-        check_bytes_match::<SoaStorage>(&c, 4, Some(Strategy::Greedy), config, "unfused R=4");
-    }
+    let config = DistConfig {
+        min_fuse: None,
+        ..dist_config(1 << 20, false)
+    };
+    check_bytes_match(&c, 4, Some(Strategy::Greedy), config, "unfused R=4");
 }
 
-/// Every plan the equivalence suites execute (`transpile_equivalence`,
-/// `fused_equivalence`, `streamed_equivalence` circuit families) must
-/// pass static verification for every rank count and mode those suites
-/// sweep — the tier-1 pre-flight form of the proof.
+/// Every plan the equivalence suites execute (`transpile_equivalence`
+/// and `fused_equivalence` circuit families) must pass static
+/// verification for every rank count those suites sweep, at a large and
+/// a small chunk cap — the tier-1 pre-flight form of the proof.
 #[test]
 fn every_equivalence_suite_plan_verifies_statically() {
     let mut circuits: Vec<(String, Circuit)> = vec![("qft9".into(), qft(9))];
@@ -178,15 +160,15 @@ fn every_equivalence_suite_plan_verifies_statically() {
         for ranks in [1u64, 2, 4, 8] {
             for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
                 let plan = plan_for(c, ranks, strategy);
-                for mode in MODES {
-                    let opts = verify_opts(dist_config(mode, 1 << 20, false));
+                for (chunk, half) in [(1 << 20, false), (512, true)] {
+                    let opts = verify_opts(dist_config(chunk, half));
                     verify_plan(&plan, Some(c), ranks, &opts).unwrap_or_else(|e| {
-                        panic!("{name} R={ranks} {mode:?} {strategy:?}: {e}")
+                        panic!("{name} R={ranks} chunk={chunk} half={half} {strategy:?}: {e}")
                     });
                     verified += 1;
                 }
             }
         }
     }
-    assert!(verified >= 200, "suite sweep covered {verified} plans");
+    assert_eq!(verified, 192, "suite sweep size");
 }

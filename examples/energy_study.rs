@@ -13,6 +13,7 @@ use qse::core::experiment::TextTable;
 use qse::core::scaling::nodes_for;
 use qse::prelude::*;
 use qse::machine::energy::{format_energy, joules_to_kwh};
+use qse::machine::CommMode;
 
 fn main() {
     let n = 40u32;
@@ -28,18 +29,18 @@ fn main() {
         };
         let local = n - nodes.trailing_zeros();
         for freq in CpuFrequency::all() {
-            for (variant, circuit, non_blocking) in [
-                ("built-in", qft(n), false),
+            for (variant, circuit, comm_mode) in [
+                ("built-in", qft(n), CommMode::Blocking),
                 (
                     "fast",
                     cache_blocked_qft(n, default_split(n, local)),
-                    true,
+                    CommMode::NonBlocking,
                 ),
             ] {
                 let mut cfg = SimConfig::default_for(nodes);
                 cfg.node_kind = kind;
                 cfg.frequency = freq;
-                cfg.non_blocking = non_blocking;
+                cfg.comm_mode = comm_mode;
                 let est = ModelExecutor::new(&machine).run(&circuit, &cfg);
                 let label = format!("{}-{:?}-{variant}", kind.label(), freq);
                 table.row(vec![

@@ -11,7 +11,7 @@ use qse::math::bits;
 use qse::math::Complex64;
 use qse::prelude::*;
 use qse::statevec::reference::ReferenceState;
-use qse::statevec::storage::{AmpStorage, AosStorage, SoaStorage};
+use qse::statevec::storage::{AmpStorage, SoaStorage};
 use qse::util::check::{check, check_with_size};
 use qse::util::rng::Rng;
 
@@ -60,19 +60,6 @@ fn engine_matches_reference() {
     });
 }
 
-/// Both storage layouts produce identical amplitudes.
-#[test]
-fn layouts_agree() {
-    check_with_size(48, 40, |rng, size| {
-        let c = draw_circuit(rng, 6, size);
-        let mut soa: SingleState<SoaStorage> = SingleState::zero_state(6);
-        let mut aos: SingleState<AosStorage> = SingleState::zero_state(6);
-        soa.run(&c);
-        aos.run(&c);
-        assert!(slices_close(&soa.to_vec(), &aos.to_vec(), 1e-12));
-    });
-}
-
 /// Distribution is transparent: 4-rank execution equals the reference,
 /// for any circuit and any exchange configuration.
 #[test]
@@ -80,7 +67,6 @@ fn distribution_is_transparent() {
     check_with_size(48, 25, |rng, size| {
         let c = draw_circuit(rng, 6, size);
         let mut cfg = SimConfig::default_for(4);
-        cfg.non_blocking = rng.random_bool(0.5);
         cfg.half_exchange_swaps = rng.random_bool(0.5);
         cfg.max_message_bytes = [64usize, 1024, 1 << 20][rng.random_range(0..3usize)];
         let run = ThreadClusterExecutor::run(&c, &cfg, 0, true);
