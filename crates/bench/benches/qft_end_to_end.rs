@@ -2,8 +2,8 @@
 //! laptop-scale Table 2.
 //!
 //! The cache-blocked variant halves the number of distributed gates, so
-//! its advantage grows with the cost of an exchange. Fusion of the
-//! controlled-phase blocks is benchmarked as the third variant.
+//! its advantage grows with the cost of an exchange. Both variants run
+//! the fused schedule, as every thread-cluster run does.
 
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_core::{SimConfig, ThreadClusterExecutor};
@@ -25,11 +25,6 @@ fn bench_qft_variants() {
         black_box(ThreadClusterExecutor::run(&built_in, &cfg, 0, false));
     });
     group.bench("cache_blocked", || {
-        black_box(ThreadClusterExecutor::run(&blocked, &cfg, 0, false));
-    });
-    let mut cfg = SimConfig::default_for(RANKS);
-    cfg.fuse_diagonals = Some(4);
-    group.bench("cache_blocked_fused", || {
         black_box(ThreadClusterExecutor::run(&blocked, &cfg, 0, false));
     });
     group.finish();

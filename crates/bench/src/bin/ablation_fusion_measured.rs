@@ -4,7 +4,7 @@
 //! analytic ARCHER2 model; this binary *measures* it on this host.
 //! The same QFT circuit runs twice through `SingleState`:
 //!
-//! * unfused — [`SingleState::run_unfused`], one sweep per gate
+//! * unfused — a [`SingleState::apply`] loop, one sweep per gate
 //!   (QuEST's gate-at-a-time execution);
 //! * fused — [`SingleState::run`], the default fused schedule, where
 //!   every run of ≥ 2 consecutive diagonal gates becomes one sweep.
@@ -47,7 +47,9 @@ fn main() {
         let mut st: SingleState<SoaStorage> = SingleState::zero_state(n);
         group.bench(format!("qft{n}_unfused"), || {
             reset(&mut st);
-            st.run_unfused(std::hint::black_box(&circuit));
+            for g in std::hint::black_box(&circuit).gates() {
+                st.apply(g);
+            }
             std::hint::black_box(st.amplitude(1));
         });
         group.bench(format!("qft{n}_fused"), || {

@@ -68,7 +68,6 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
                             max_message_bytes: cap,
                         },
                         half_exchange_swaps: half,
-                        ..VerifyOptions::default()
                     };
                     cases.push(CorpusCase {
                         name: format!("{cname}/R{ranks}/{sname}/{}", strategy_name(strategy)),

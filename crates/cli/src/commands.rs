@@ -47,10 +47,11 @@ pub fn help_text() -> String {
        info  [--gpu]                machine description\n\
        run   --qubits N [--ranks R] [--circuit qft|ghz|grover|bv]\n\
              [--engine auto|dense|sparse|stabilizer]\n\
-             [--half-swaps] [--fuse K] [--basis B]\n\
+             [--half-swaps] [--basis B]\n\
              [--transpile off|greedy|beam]\n\
              [--faults seed=N[,delay=P][,corrupt=P][,fail=P][,budget=K]...]\n\
-                                    execute on the thread cluster (measured);\n\
+                                    execute on the thread cluster (measured;\n\
+                                    each diagonal-gate run is one sweep);\n\
                                     --engine picks the simulation backend\n\
                                     (dense ≤ 24 qubits, sparse ≤ 40,\n\
                                     stabilizer ≤ 4096 Clifford-only; auto\n\
@@ -205,7 +206,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "circuit",
         "engine",
         "half-swaps",
-        "fuse",
         "basis",
         "faults",
         "transpile",
@@ -240,7 +240,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
     let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
     let mut cfg = SimConfig::default_for(ranks);
     cfg.half_exchange_swaps = args.switch("half-swaps");
-    cfg.fuse_diagonals = args.optional::<usize>("fuse")?;
     cfg.transpile = parse_transpile(&args.string("transpile", "off"))?;
     cfg.engine = engine_mode;
     if let Some(spec) = args.optional::<String>("faults")? {
@@ -828,10 +827,11 @@ mod tests {
 
     #[test]
     fn run_rejects_the_removed_exchange_flags() {
-        // The thread cluster runs one exchange; the non-blocking and
-        // streamed modes live in the model only (`qse model --fast`,
-        // `--streamed`).
-        for flag in ["--non-blocking", "--streamed"] {
+        // The thread cluster runs one exchange and always fuses diagonal
+        // runs; the non-blocking and streamed modes and the fusion
+        // threshold live in the model only (`qse model --fast`,
+        // `--streamed`, `--fuse`).
+        for flag in ["--non-blocking", "--streamed", "--fuse"] {
             let err = run_cli(&["run", "--qubits", "8", "--ranks", "4", flag]).unwrap_err();
             let msg = err.to_string();
             assert!(

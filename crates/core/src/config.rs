@@ -108,7 +108,9 @@ pub struct SimConfig {
     pub comm_mode: CommMode,
     /// Half-exchange distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
-    /// Fuse diagonal runs of at least this many gates.
+    /// Fuse diagonal runs of at least this many gates (model runs only;
+    /// the thread cluster always fuses every run of at least
+    /// [`qse_statevec::DEFAULT_MIN_FUSE`] gates).
     pub fuse_diagonals: Option<usize>,
     /// Maximum message size in bytes for chunked exchanges.
     pub max_message_bytes: usize,
@@ -160,7 +162,6 @@ impl SimConfig {
             chunk_policy: ChunkPolicy::new(self.max_message_bytes)
                 .expect("max_message_bytes must be positive"),
             half_exchange_swaps: self.half_exchange_swaps,
-            min_fuse: self.fuse_diagonals,
         }
     }
 
@@ -276,7 +277,6 @@ mod tests {
         c.max_message_bytes = 256;
         assert!(c.to_dist_config().half_exchange_swaps);
         assert!(c.to_model_config().half_exchange_swaps);
-        assert_eq!(c.to_dist_config().min_fuse, Some(3));
         assert_eq!(c.to_model_config().fuse_diagonals, Some(3));
         assert_eq!(c.to_dist_config().chunk_policy.max_message_bytes, 256);
     }

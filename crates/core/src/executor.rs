@@ -2,16 +2,16 @@
 
 use crate::config::SimConfig;
 use crate::profile::{ClassProfile, ProfiledRun};
-use qse_circuit::classify::{classify, EngineChoice, GateClass, Layout};
-use qse_circuit::transpile::{comm_avoid, Plan, PlanStep};
-use qse_circuit::Circuit;
+use qse_circuit::classify::{EngineChoice, Layout};
+use qse_circuit::transpile::{comm_avoid, Plan};
+use qse_circuit::{Circuit, Permutation};
 use qse_comm::{CommError, Universe};
 use qse_machine::archer2::Machine;
 use qse_machine::perf::RunEstimate;
 use qse_machine::{archer2, ModelOracle};
 use qse_math::Complex64;
 use qse_statevec::storage::SoaStorage;
-use qse_statevec::{DistributedState, SingleState, SparseState};
+use qse_statevec::{DistributedState, SparseState};
 use qse_util::rng::Rng;
 use std::time::Instant;
 
@@ -26,23 +26,6 @@ pub fn comm_avoid_plan(circuit: &Circuit, config: &SimConfig) -> Option<Plan> {
     let machine = archer2();
     let oracle = ModelOracle::new(&machine, config.to_model_config());
     Some(comm_avoid(circuit, &layout, strategy, &oracle).with_layout_restored())
-}
-
-/// Runs circuits in one address space with the production kernels.
-pub struct LocalExecutor;
-
-impl LocalExecutor {
-    /// Simulates from |0…0⟩ and returns the final state.
-    pub fn run(circuit: &Circuit) -> SingleState<SoaStorage> {
-        SingleState::simulate(circuit)
-    }
-
-    /// Simulates from |basis⟩ with diagonal fusion.
-    pub fn run_fused(circuit: &Circuit, basis: u64, min_fuse: usize) -> SingleState<SoaStorage> {
-        let mut s = SingleState::basis_state(circuit.n_qubits(), basis);
-        s.run_fused(circuit, min_fuse);
-        s
-    }
 }
 
 /// Runs circuits genuinely distributed over thread ranks, measuring
@@ -62,8 +45,9 @@ pub struct ClusterRun {
 impl ThreadClusterExecutor {
     /// Runs `circuit` from |basis⟩ over `config.n_ranks` thread ranks.
     ///
-    /// Each gate is timed on rank 0 (all ranks advance in lockstep for
-    /// distributed gates, so rank 0's clock is representative) and
+    /// Each executed step — a gate, a fused diagonal run or a batched
+    /// permutation — is timed on rank 0 (all ranks advance in lockstep
+    /// for distributed steps, so rank 0's clock is representative) and
     /// attributed to its locality class.
     ///
     /// # Panics
@@ -92,9 +76,9 @@ impl ThreadClusterExecutor {
         // skip the pass; the plan corpus and property suites carry the
         // proof there.
         #[cfg(debug_assertions)]
-        Self::verify_plan_pre_flight(circuit, config, plan.as_ref())?;
+        Self::verify_plan_checked(circuit, config, plan.as_ref())?;
 
-        Self::execute(circuit, config, basis, gather, plan.as_ref())
+        Self::try_run_prepared(circuit, config, basis, gather, plan.as_ref())
     }
 
     /// Builds and statically verifies the execution plan for `circuit`
@@ -113,6 +97,11 @@ impl ThreadClusterExecutor {
     /// debug pre-flight gate entirely — the cache-hit hot path. The
     /// caller owns the proof obligation: `plan` must have come from
     /// `prepare` with an identical `(circuit, config)` pair.
+    ///
+    /// Every rank runs the plan through the dense step interpreter
+    /// ([`DistributedState::run_plan`]); an untranspiled circuit runs as
+    /// the trivial plan. `gate_count` reports the plan's steps, which for
+    /// the trivial plan are the circuit's gates.
     pub fn try_run_prepared(
         circuit: &Circuit,
         config: &SimConfig,
@@ -120,28 +109,16 @@ impl ThreadClusterExecutor {
         gather: bool,
         plan: Option<&Plan>,
     ) -> Result<ClusterRun, CommError> {
-        Self::execute(circuit, config, basis, gather, plan)
-    }
-
-    /// The shared execution core: runs `circuit` (or its transpiled
-    /// `plan`) over thread ranks without building or verifying anything.
-    fn execute(
-        circuit: &Circuit,
-        config: &SimConfig,
-        basis: u64,
-        gather: bool,
-        plan: Option<&Plan>,
-    ) -> Result<ClusterRun, CommError> {
+        let trivial;
+        let plan = match plan {
+            Some(p) => p,
+            None => {
+                trivial = Plan::from_circuit(circuit, Permutation::identity(circuit.n_qubits()));
+                &trivial
+            }
+        };
         let n_ranks = config.n_ranks as usize;
         let dist_config = config.to_dist_config();
-        let layout = Layout::new(circuit.n_qubits(), config.n_ranks);
-        let classes: Vec<_> = circuit
-            .gates()
-            .iter()
-            .map(|g| classify(g, &layout))
-            .collect();
-
-        let step_count = plan.map_or(circuit.len(), |p| p.steps.len());
 
         let universe = match config.faults {
             Some(fc) => Universe::with_faults(n_ranks, fc)?,
@@ -153,34 +130,7 @@ impl ThreadClusterExecutor {
             st.barrier();
             let t0 = Instant::now();
             let mut profile = ClassProfile::default();
-            match plan {
-                None => {
-                    for (gate, &class) in circuit.gates().iter().zip(&classes) {
-                        let g0 = Instant::now();
-                        st.apply(gate)?;
-                        profile.record(class, g0.elapsed());
-                    }
-                }
-                Some(plan) => {
-                    // Transpiled path: gates are all local by construction;
-                    // batched permutes carry the communication and land in
-                    // the distributed bucket.
-                    for step in &plan.steps {
-                        let g0 = Instant::now();
-                        let class = match step {
-                            PlanStep::Gate(g) => {
-                                st.apply(g)?;
-                                classify(g, &layout)
-                            }
-                            PlanStep::Permute(p) => {
-                                st.apply_global_permutation(p)?;
-                                GateClass::Distributed
-                            }
-                        };
-                        profile.record(class, g0.elapsed());
-                    }
-                }
-            }
+            st.run_plan(plan, |class, elapsed| profile.record(class, elapsed))?;
             st.barrier();
             let wall = t0.elapsed().as_secs_f64();
             let stats = st.stats();
@@ -202,9 +152,7 @@ impl ThreadClusterExecutor {
             .map(|(_, _, s, _)| s.corruptions_detected)
             .sum();
         let (wall, profile, _, _) = &results[0];
-        let state = results
-            .iter()
-            .find_map(|(_, _, _, st)| st.clone());
+        let state = results.iter().find_map(|(_, _, _, st)| st.clone());
         Ok(ClusterRun {
             profiled: ProfiledRun {
                 n_qubits: circuit.n_qubits(),
@@ -214,7 +162,7 @@ impl ThreadClusterExecutor {
                 bytes_sent: total_bytes,
                 bytes_exchanged: total_exchanged,
                 messages_sent: total_msgs,
-                gate_count: step_count,
+                gate_count: plan.steps.len(),
                 faults_injected,
                 retries,
                 corruptions_detected: corruptions,
@@ -222,19 +170,6 @@ impl ThreadClusterExecutor {
             },
             state,
         })
-    }
-
-    /// Debug-build pre-flight: statically verify the exchange schedule the
-    /// run would execute (transpiled plan when one exists, otherwise the
-    /// raw circuit) and reject unverifiable plans with a typed error
-    /// carrying the verifier's per-rank diagnosis.
-    #[cfg(debug_assertions)]
-    fn verify_plan_pre_flight(
-        circuit: &Circuit,
-        config: &SimConfig,
-        plan: Option<&Plan>,
-    ) -> Result<(), CommError> {
-        Self::verify_plan_checked(circuit, config, plan)
     }
 
     /// Statically verifies the exchange schedule in any build profile —
@@ -249,7 +184,6 @@ impl ThreadClusterExecutor {
         let opts = qse_check::verify::VerifyOptions {
             chunk_policy: dc.chunk_policy,
             half_exchange_swaps: dc.half_exchange_swaps,
-            min_fuse: dc.min_fuse,
         };
         match plan {
             Some(p) => qse_check::verify::verify_plan(p, Some(circuit), config.n_ranks, &opts),
@@ -482,14 +416,6 @@ mod tests {
     use qse_statevec::reference::ReferenceState;
 
     #[test]
-    fn local_executor_matches_reference() {
-        let c = random_circuit(6, 50, GatePool::Full, 8);
-        let got = LocalExecutor::run(&c);
-        let want = ReferenceState::simulate(&c);
-        assert_slices_close(&got.to_vec(), want.amplitudes(), 1e-9);
-    }
-
-    #[test]
     fn cluster_executor_matches_reference_and_profiles() {
         let c = qft(8);
         let run = ThreadClusterExecutor::run(&c, &SimConfig::default_for(4), 11, true);
@@ -605,71 +531,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pre_flight_rejects_a_broken_plan() {
-        // A plan whose final permute is never undone must be refused by
-        // the debug-mode gate before any rank posts a byte.
-        let mut c = Circuit::new(4);
-        c.h(0).cnot(0, 3);
-        let plan = qse_check::verify::broken_fixture_unrestored_layout();
-        let err = ThreadClusterExecutor::verify_plan_pre_flight(
-            &c,
-            &SimConfig::default_for(4),
-            Some(&plan),
-        )
-        .expect_err("broken plan must be rejected");
-        match &err {
-            CommError::PlanRejected { detail } => {
-                assert!(detail.contains("layout"), "diagnosis was: {detail}")
+    /// The plan `try_run_prepared` executes: the transpiled one, or the
+    /// trivial plan of an untranspiled circuit.
+    fn executed_plan(c: &Circuit, plan: Option<&Plan>) -> Plan {
+        plan.cloned()
+            .unwrap_or_else(|| Plan::from_circuit(c, Permutation::identity(c.n_qubits())))
+    }
+
+    /// Runs `plan` one step at a time — `apply` per gate,
+    /// `apply_global_permutation` per permute, no fusion — and returns
+    /// rank 0's gathered state.
+    fn gate_at_a_time(plan: &Plan, cfg: &SimConfig, basis: u64) -> Vec<qse_math::Complex64> {
+        use qse_circuit::transpile::PlanStep;
+        let out = Universe::new(cfg.n_ranks as usize).run(|comm| {
+            let mut st: DistributedState<SoaStorage> =
+                DistributedState::basis_state(comm, plan.n_qubits(), basis, cfg.to_dist_config());
+            for step in &plan.steps {
+                match step {
+                    PlanStep::Gate(g) => st.apply(g).unwrap(),
+                    PlanStep::Permute(p) => st.apply_global_permutation(p).unwrap(),
+                }
             }
-            other => panic!("expected PlanRejected, got {other:?}"),
-        }
+            st.gather().unwrap()
+        });
+        out.into_iter().flatten().next().expect("rank 0 gathered")
     }
 
     #[test]
     fn prepared_run_is_bit_identical_to_cold_path() {
         // The serve cache contract: prepare() once, then
         // try_run_prepared() must reproduce try_run() bit-for-bit —
-        // same plan, same sweeps, same rounding.
-        let c = qft(8);
-        for mode in [
-            crate::config::TranspileMode::Off,
-            crate::config::TranspileMode::Greedy,
-            crate::config::TranspileMode::Beam,
-        ] {
-            let mut cfg = SimConfig::default_for(4);
+        // same plan, same sweeps, same rounding — and both must equal
+        // the same plan executed gate at a time, without fusion.
+        use crate::config::TranspileMode;
+        for (seed, pool) in [(1u64, GatePool::QftLike), (2, GatePool::Full)] {
+            let c = random_circuit(8, 80, pool, seed);
+            for ranks in [1u64, 2, 4] {
+                for mode in [
+                    TranspileMode::Off,
+                    TranspileMode::Greedy,
+                    TranspileMode::Beam,
+                ] {
+                    let ctx = format!("{pool:?} R={ranks} {mode:?}");
+                    let mut cfg = SimConfig::default_for(ranks);
+                    cfg.transpile = mode;
+                    let plan = ThreadClusterExecutor::prepare(&c, &cfg).expect("prepare");
+                    assert_eq!(plan.is_some(), mode != TranspileMode::Off, "{ctx}");
+                    let cold = ThreadClusterExecutor::try_run(&c, &cfg, 9, true).unwrap();
+                    let warm =
+                        ThreadClusterExecutor::try_run_prepared(&c, &cfg, 9, true, plan.as_ref())
+                            .unwrap();
+                    let warm_state = warm.state.unwrap();
+                    assert_bits_equal(&warm_state, &cold.state.unwrap());
+                    assert_eq!(warm.profiled.gate_count, cold.profiled.gate_count, "{ctx}");
+                    let stepped = gate_at_a_time(&executed_plan(&c, plan.as_ref()), &cfg, 9);
+                    assert_bits_equal(&warm_state, &stepped);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn served_runs_execute_the_fused_schedule() {
+        // The interpreter behind `try_run_prepared` fires its hook once
+        // per fused-schedule step of every segment between permutes, plus
+        // once per permute — fewer steps than the plan lists — while
+        // `gate_count` keeps counting source gates or plan steps.
+        use crate::config::TranspileMode;
+        use qse_circuit::transpile::fusion::fused_schedule;
+        use qse_circuit::transpile::PlanStep;
+        use qse_statevec::DEFAULT_MIN_FUSE;
+        let cases = [
+            (qft(10), 1u64, TranspileMode::Off),
+            (qft(10), 4, TranspileMode::Beam),
+            (
+                random_circuit(10, 120, GatePool::QftLike, 4),
+                4,
+                TranspileMode::Beam,
+            ),
+        ];
+        for (c, ranks, mode) in cases {
+            let ctx = format!("R={ranks} {mode:?}");
+            let mut cfg = SimConfig::default_for(ranks);
             cfg.transpile = mode;
-            let plan = ThreadClusterExecutor::prepare(&c, &cfg).expect("prepare");
-            assert_eq!(plan.is_some(), !matches!(mode, crate::config::TranspileMode::Off));
-            let cold = ThreadClusterExecutor::try_run(&c, &cfg, 9, true).unwrap();
-            let warm =
-                ThreadClusterExecutor::try_run_prepared(&c, &cfg, 9, true, plan.as_ref())
+            let prepared = ThreadClusterExecutor::prepare(&c, &cfg).expect("prepare");
+            let plan = executed_plan(&c, prepared.as_ref());
+
+            let segments = plan.steps.split(|s| matches!(s, PlanStep::Permute(_)));
+            let want = plan.permute_count()
+                + segments
+                    .map(|seg| {
+                        let mut c = Circuit::new(plan.n_qubits());
+                        for step in seg {
+                            if let PlanStep::Gate(g) = step {
+                                c.push(g.clone());
+                            }
+                        }
+                        fused_schedule(&c, DEFAULT_MIN_FUSE).len()
+                    })
+                    .sum::<usize>();
+            assert!(want < plan.steps.len(), "{ctx}: nothing fused");
+
+            let fired = Universe::new(ranks as usize).run(|comm| {
+                let mut st: DistributedState<SoaStorage> =
+                    DistributedState::basis_state(comm, plan.n_qubits(), 0, cfg.to_dist_config());
+                let mut fired = 0usize;
+                st.run_plan(&plan, |_, _| fired += 1).unwrap();
+                fired
+            });
+            assert!(
+                fired.iter().all(|&f| f == want),
+                "{ctx}: {fired:?} != {want}"
+            );
+
+            let run =
+                ThreadClusterExecutor::try_run_prepared(&c, &cfg, 0, false, prepared.as_ref())
                     .unwrap();
-            assert_bits_equal(&warm.state.unwrap(), &cold.state.unwrap());
-            assert_eq!(warm.profiled.gate_count, cold.profiled.gate_count);
+            match &prepared {
+                None => assert_eq!(run.profiled.gate_count, c.len(), "{ctx}"),
+                Some(p) => assert_eq!(run.profiled.gate_count, p.steps.len(), "{ctx}"),
+            }
         }
     }
 
     #[test]
     fn prepare_rejects_a_broken_plan_in_any_profile() {
+        // A plan whose final permute is never undone must be refused
+        // before any rank posts a byte.
         let mut c = Circuit::new(4);
         c.h(0).cnot(0, 3);
         let plan = qse_check::verify::broken_fixture_unrestored_layout();
-        let err = ThreadClusterExecutor::verify_plan_checked(
-            &c,
-            &SimConfig::default_for(4),
-            Some(&plan),
-        )
-        .expect_err("broken plan must be rejected");
-        assert!(matches!(err, CommError::PlanRejected { .. }));
-    }
-
-    #[test]
-    fn fused_local_matches_plain() {
-        let c = random_circuit(6, 120, GatePool::Full, 3);
-        let plain = LocalExecutor::run(&c);
-        let fused = LocalExecutor::run_fused(&c, 0, 2);
-        assert_slices_close(&fused.to_vec(), &plain.to_vec(), 1e-9);
+        let err =
+            ThreadClusterExecutor::verify_plan_checked(&c, &SimConfig::default_for(4), Some(&plan))
+                .expect_err("broken plan must be rejected");
+        match &err {
+            CommError::PlanRejected { detail } => {
+                assert!(detail.contains("layout"), "diagnosis was: {detail}")
+            }
+            other => panic!("expected PlanRejected, got {other:?}"),
+        }
     }
 
     fn ghz(n: u32) -> Circuit {

@@ -1,13 +1,15 @@
 //! Simulator facade: executors, profiling and the experiment harness.
 //!
-//! This crate glues the reproduction together. A circuit can be run three
-//! ways behind one interface:
+//! This crate glues the reproduction together. A circuit can be run
+//! behind one interface:
 //!
-//! * [`executor::LocalExecutor`] — single address space, production
-//!   kernels ([`qse_statevec::SingleState`]);
 //! * [`executor::ThreadClusterExecutor`] — genuinely distributed over
 //!   thread ranks with real message passing, measuring wall-clock time
-//!   and traffic ([`qse_statevec::DistributedState`]);
+//!   and traffic ([`qse_statevec::DistributedState`]); one rank is the
+//!   single-address-space case, and [`qse_statevec::SingleState`] runs
+//!   the same kernels without a communicator;
+//! * [`executor::EngineExecutor`] — the multi-engine front door, which
+//!   dispatches to the dense, sparse or stabilizer backend;
 //! * [`executor::ModelExecutor`] — the calibrated ARCHER2 model
 //!   ([`qse_machine`]), used at the paper's 33–44-qubit scale.
 //!
@@ -24,7 +26,7 @@ pub mod sweep;
 
 pub use config::{EngineMode, SimConfig, TranspileMode};
 pub use executor::{
-    comm_avoid_plan, EngineError, EngineExecutor, EngineRun, EngineState, LocalExecutor,
-    ModelExecutor, ThreadClusterExecutor,
+    comm_avoid_plan, EngineError, EngineExecutor, EngineRun, EngineState, ModelExecutor,
+    ThreadClusterExecutor,
 };
 pub use profile::{ClassProfile, ProfiledRun};

@@ -2,9 +2,10 @@
 //!
 //! A diagonal gate multiplies amplitude `|i⟩` by a phase that depends only
 //! on `i`'s bits — the paper's *fully local* class. This module evaluates
-//! that phase for one gate or for a fused run of gates (a single sweep
-//! applying the product of all phases, the optimisation behind QuEST's
-//! efficient controlled-phase application).
+//! that phase for one gate ([`diagonal_phase`], the reference definition)
+//! and compiles runs of gates for a single sweep that applies every
+//! gate's phase in turn ([`CompiledDiagonal`], the optimisation behind
+//! QuEST's efficient controlled-phase application).
 
 use qse_circuit::Gate;
 use qse_math::bits;
@@ -97,14 +98,6 @@ fn phase_if(index: u64, q: u32, p: Complex64) -> Complex64 {
     } else {
         Complex64::ONE
     }
-}
-
-/// The combined phase of a run of diagonal gates — what a fused sweep
-/// applies per amplitude.
-pub fn fused_phase(gates: &[Gate], index: u64) -> Complex64 {
-    gates
-        .iter()
-        .fold(Complex64::ONE, |acc, g| acc * diagonal_phase(g, index))
 }
 
 /// One diagonal gate lowered to a branch-light evaluator for the fused
@@ -266,7 +259,7 @@ impl PhaseOp {
 /// A run of diagonal gates precompiled for single-sweep execution — the
 /// execution-layer counterpart of the analytic model's fused runs.
 ///
-/// Where [`fused_phase`] re-matches on the gate enum per amplitude and
+/// Where [`diagonal_phase`] re-matches on the gate enum per amplitude and
 /// recomputes `cis(θ)` per call, the compiled form folds each gate to a
 /// mask test plus a prebuilt constant. The storage backends drive it
 /// through [`crate::storage::AmpStorage::apply_fused_diagonal`]: one read
@@ -281,11 +274,11 @@ impl CompiledDiagonal {
     /// Compiles a run of diagonal gates, preserving gate order.
     ///
     /// # Panics
-    /// Panics on non-diagonal gates — callers segment with
-    /// `fused_schedule` first.
-    pub fn compile(gates: &[Gate]) -> Self {
+    /// Panics on non-diagonal gates — callers segment diagonal runs
+    /// first.
+    pub fn compile<'g>(gates: impl IntoIterator<Item = &'g Gate>) -> Self {
         CompiledDiagonal {
-            ops: gates.iter().map(PhaseOp::compile).collect(),
+            ops: gates.into_iter().map(PhaseOp::compile).collect(),
         }
     }
 
@@ -308,15 +301,6 @@ impl CompiledDiagonal {
             a = a * op.phase(index);
         }
         a
-    }
-
-    /// The combined phase at `index` (product over the run). Matches
-    /// [`fused_phase`] up to floating-point association.
-    #[inline]
-    pub fn phase(&self, index: u64) -> Complex64 {
-        self.ops
-            .iter()
-            .fold(Complex64::ONE, |acc, op| acc * op.phase(index))
     }
 }
 
@@ -367,26 +351,6 @@ mod tests {
         let p1 = diagonal_phase(&g, 1);
         assert_complex_close(p0 * p1, Complex64::ONE, 1e-12);
         assert_complex_close(p1, Complex64::cis(0.4), 1e-12);
-    }
-
-    #[test]
-    fn fused_equals_product() {
-        let gates = vec![
-            Gate::S(0),
-            Gate::T(1),
-            Gate::CPhase {
-                a: 0,
-                b: 1,
-                theta: 0.3,
-            },
-            Gate::Z(0),
-        ];
-        for idx in 0..4u64 {
-            let expect = gates
-                .iter()
-                .fold(Complex64::ONE, |a, g| a * diagonal_phase(g, idx));
-            assert_complex_close(fused_phase(&gates, idx), expect, 1e-12);
-        }
     }
 
     #[test]
@@ -481,21 +445,11 @@ mod tests {
     }
 
     #[test]
-    fn compiled_product_phase_matches_fused_phase() {
-        let gates = one_of_each_diagonal();
-        let compiled = CompiledDiagonal::compile(&gates);
-        for idx in 0..8u64 {
-            assert_complex_close(compiled.phase(idx), fused_phase(&gates, idx), 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_compiled_run_is_identity() {
         let compiled = CompiledDiagonal::compile(&[]);
         assert!(compiled.is_empty());
         let a = Complex64::new(0.5, -0.25);
         assert_eq!(compiled.apply(3, a), a);
-        assert_eq!(compiled.phase(3), Complex64::ONE);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Each rank of a [`qse_comm::Universe`] owns `2^{n−r}` amplitudes. Gates
 //! dispatch on the paper's locality classes:
 //!
-//! * fully local (diagonal) → one phase sweep, no communication;
+//! * fully local (diagonal) → one phase sweep per maximal diagonal run,
+//!   no communication;
 //! * local memory → in-place pair kernel;
 //! * distributed → chunked exchange with the single pair rank
 //!   (`rank XOR 2^{q−(n−r)}`), then a linear combine.
@@ -16,12 +17,10 @@
 //! exchange* (§4): only the amplitudes whose swap bits differ move, which
 //! halves both traffic and buffer requirements.
 
-use crate::diagonal::{diagonal_phase, CompiledDiagonal};
-use crate::single::DEFAULT_MIN_FUSE;
+use crate::lower::{lower, Lowered, Source, DEFAULT_MIN_FUSE};
 use crate::storage::{init_basis, AmpStorage, SoaStorage};
 use qse_circuit::classify::{classify, GateClass, Layout};
-use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
-use qse_circuit::transpile::{Plan, PlanStep};
+use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
 use qse_comm::chunking::{chunk_tag, exchange_blocking, ChunkPolicy};
 use qse_comm::collective;
@@ -30,8 +29,9 @@ use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
 use qse_math::bits;
 use qse_math::Complex64;
+use std::time::{Duration, Instant};
 
-/// Exchange and execution options for a distributed run.
+/// Exchange options for a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistConfig {
     /// Per-message size cap; ARCHER2's is 2 GiB, tests use small values
@@ -39,11 +39,6 @@ pub struct DistConfig {
     pub chunk_policy: ChunkPolicy,
     /// Use the half exchange for distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
-    /// Fuse runs of ≥ this many diagonal gates into one sweep in
-    /// [`DistributedState::run`]; `None` disables fusion. Defaults to
-    /// [`DEFAULT_MIN_FUSE`]: the real engine executes the same fused
-    /// schedule the analytic model prices.
-    pub min_fuse: Option<usize>,
 }
 
 impl Default for DistConfig {
@@ -53,7 +48,6 @@ impl Default for DistConfig {
                 max_message_bytes: 1 << 20,
             },
             half_exchange_swaps: false,
-            min_fuse: Some(DEFAULT_MIN_FUSE),
         }
     }
 }
@@ -206,59 +200,109 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         self.recv_f64 = buf;
     }
 
-    /// Applies one gate, communicating as its locality class requires.
-    /// Fails only when the underlying exchange fails (peer disconnected,
-    /// deadlock diagnosed) — pure-local gates always succeed.
+    /// Applies one gate, communicating as its locality class requires
+    /// (a diagonal gate is a sweep of one). Fails only when the
+    /// underlying exchange fails (peer disconnected, deadlock diagnosed)
+    /// — pure-local gates always succeed.
     pub fn apply(&mut self, gate: &Gate) -> CommResult<()> {
         assert!(
             gate.max_qubit() < self.layout.n_qubits(),
             "gate out of range"
         );
-        match classify(gate, &self.layout) {
-            GateClass::FullyLocal => {
-                let offset = self.rank_offset();
-                self.amps
-                    .apply_phase_fn(offset, &|i| diagonal_phase(gate, i));
-                Ok(())
-            }
-            GateClass::LocalMemory => {
-                match *gate {
-                    Gate::Swap(a, b) => self.amps.swap_local(a, b),
-                    Gate::Unitary2 { a, b, ref matrix } => self.amps.apply_orbit4(a, b, matrix),
-                    ref g => {
-                        let Some(m) = g.matrix1() else {
-                            unreachable!("classify only routes single-target gates here")
-                        };
-                        match g.control() {
-                            Some(c) if !self.layout.is_local(c) => {
-                                // Global control: this rank applies the plain
-                                // gate iff its control bit is set.
-                                if self.rank_bit_value(c) == 1 {
-                                    self.amps.apply_pairs(g.target(), &m, None);
-                                }
+        self.interpret([Source::Gate(gate)], &mut |_, _| {})
+    }
+
+    /// Runs a circuit through the step interpreter.
+    pub fn run(&mut self, circuit: &Circuit) -> CommResult<()> {
+        assert_eq!(circuit.n_qubits(), self.layout.n_qubits(), "width mismatch");
+        self.interpret(circuit.gates().iter().map(Source::Gate), &mut |_, _| {})
+    }
+
+    /// Runs a comm-avoiding [`Plan`] through the step interpreter,
+    /// reporting every executed step to `hook` with its locality class
+    /// and duration: a fused diagonal run reports as
+    /// [`GateClass::FullyLocal`], a `Permute` step as
+    /// [`GateClass::Distributed`], any other gate as its own class.
+    pub fn run_plan(
+        &mut self,
+        plan: &Plan,
+        mut hook: impl FnMut(GateClass, Duration),
+    ) -> CommResult<()> {
+        assert_eq!(plan.n_qubits(), self.layout.n_qubits(), "width mismatch");
+        self.interpret(plan.steps.iter().map(Source::from), &mut hook)
+    }
+
+    /// The dense step interpreter: lowers `steps` (every maximal
+    /// diagonal run fused at [`DEFAULT_MIN_FUSE`]) and executes them in
+    /// order. Each step's duration includes its lowering.
+    fn interpret<'a>(
+        &mut self,
+        steps: impl IntoIterator<Item = Source<'a>>,
+        hook: &mut dyn FnMut(GateClass, Duration),
+    ) -> CommResult<()> {
+        let offset = self.rank_offset();
+        let mut lowered = lower(steps, DEFAULT_MIN_FUSE);
+        loop {
+            let t0 = Instant::now();
+            let Some(step) = lowered.next() else {
+                return Ok(());
+            };
+            let class = match step {
+                Lowered::Diagonal(run) => {
+                    self.amps.apply_fused_diagonal(offset, &run);
+                    GateClass::FullyLocal
+                }
+                Lowered::Gate(g) => self.apply_gate(g)?,
+                Lowered::Permute(p) => {
+                    self.apply_global_permutation(p)?;
+                    GateClass::Distributed
+                }
+            };
+            hook(class, t0.elapsed());
+        }
+    }
+
+    /// Applies one non-diagonal gate and returns its locality class.
+    fn apply_gate(&mut self, gate: &Gate) -> CommResult<GateClass> {
+        let class = classify(gate, &self.layout);
+        match class {
+            GateClass::FullyLocal => unreachable!("the lowering sweeps diagonal gates"),
+            GateClass::LocalMemory => match *gate {
+                Gate::Swap(a, b) => self.amps.swap_local(a, b),
+                Gate::Unitary2 { a, b, ref matrix } => self.amps.apply_orbit4(a, b, matrix),
+                ref g => {
+                    let Some(m) = g.matrix1() else {
+                        unreachable!("classify only routes single-target gates here")
+                    };
+                    match g.control() {
+                        Some(c) if !self.layout.is_local(c) => {
+                            // Global control: this rank applies the plain
+                            // gate iff its control bit is set.
+                            if self.rank_bit_value(c) == 1 {
+                                self.amps.apply_pairs(g.target(), &m, None);
                             }
-                            ctrl => self.amps.apply_pairs(g.target(), &m, ctrl),
                         }
+                        ctrl => self.amps.apply_pairs(g.target(), &m, ctrl),
                     }
                 }
-                Ok(())
-            }
+            },
             GateClass::Distributed => {
                 let tag = self.next_tag();
                 match *gate {
-                    Gate::Swap(a, b) => self.distributed_swap(a, b, tag),
+                    Gate::Swap(a, b) => self.distributed_swap(a, b, tag)?,
                     Gate::Unitary2 { a, b, ref matrix } => {
-                        self.distributed_unitary2(a, b, matrix, tag)
+                        self.distributed_unitary2(a, b, matrix, tag)?
                     }
                     ref g => {
                         let Some(m) = g.matrix1() else {
                             unreachable!("classify only routes single-target gates here")
                         };
-                        self.distributed_1q(&m, g.target(), g.control(), tag)
+                        self.distributed_1q(&m, g.target(), g.control(), tag)?
                     }
                 }
             }
         }
+        Ok(class)
     }
 
     /// The value of this rank's address bit for global qubit `q`.
@@ -394,36 +438,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         Ok(())
     }
 
-    /// Runs a circuit, honouring the fusion setting.
-    pub fn run(&mut self, circuit: &Circuit) -> CommResult<()> {
-        assert_eq!(
-            circuit.n_qubits(),
-            self.layout.n_qubits(),
-            "width mismatch"
-        );
-        match self.config.min_fuse {
-            None => {
-                for g in circuit.gates() {
-                    self.apply(g)?;
-                }
-            }
-            Some(min_fuse) => {
-                let offset = self.rank_offset();
-                for step in fused_schedule(circuit, min_fuse) {
-                    match step {
-                        ScheduleStep::Single(i) => self.apply(&circuit.gates()[i])?,
-                        ScheduleStep::Fused(run) => {
-                            let compiled =
-                                CompiledDiagonal::compile(&circuit.gates()[run.start..run.end]);
-                            self.amps.apply_fused_diagonal(offset, &compiled);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Applies an index-bit permutation to the whole distributed state as
     /// *one* batched global exchange: afterwards the amplitude that lived
     /// at global index `i` lives at `perm.permute_index(i)`.
@@ -551,37 +565,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
 
         self.amps.copy_from_f64(&staging);
         self.release_recv(staging);
-        Ok(())
-    }
-
-    /// Runs a comm-avoiding [`Plan`]: gate runs execute through
-    /// [`Self::run`] (so diagonal fusion still applies within each
-    /// segment) and `Permute` steps lower to
-    /// [`Self::apply_global_permutation`].
-    pub fn run_plan(&mut self, plan: &Plan) -> CommResult<()> {
-        assert_eq!(
-            plan.n_qubits(),
-            self.layout.n_qubits(),
-            "width mismatch"
-        );
-        let mut pending = Circuit::new(plan.n_qubits());
-        for step in &plan.steps {
-            match step {
-                PlanStep::Gate(g) => {
-                    pending.push(g.clone());
-                }
-                PlanStep::Permute(p) => {
-                    if !pending.is_empty() {
-                        self.run(&pending)?;
-                        pending = Circuit::new(plan.n_qubits());
-                    }
-                    self.apply_global_permutation(p)?;
-                }
-            }
-        }
-        if !pending.is_empty() {
-            self.run(&pending)?;
-        }
         Ok(())
     }
 
@@ -849,19 +832,19 @@ mod tests {
     }
 
     #[test]
-    fn fusion_matches_unfused_distributed() {
-        // The default config fuses; against an explicitly unfused run the
-        // contract is bit-for-bit equality, not closeness.
+    fn fusion_matches_gate_at_a_time_distributed() {
+        // `run` fuses; against an `apply` loop the contract is
+        // bit-for-bit equality, not closeness.
         let c = random_circuit(7, 80, GatePool::Full, 21);
-        let plain = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                min_fuse: None,
-                ..DistConfig::default()
-            },
-            0,
-        );
+        let plain = Universe::new(4).run(|comm| {
+            let mut st: DistributedState<SoaStorage> =
+                DistributedState::zero_state(comm, 7, DistConfig::default());
+            for g in c.gates() {
+                st.apply(g).unwrap();
+            }
+            st.gather().unwrap()
+        });
+        let plain = plain.into_iter().flatten().next().expect("rank 0 gathered");
         let fused = simulate_dist(&c, 4, DistConfig::default(), 0);
         assert_eq!(plain.len(), fused.len());
         for (i, (p, f)) in plain.iter().zip(&fused).enumerate() {
@@ -1187,7 +1170,7 @@ mod tests {
                     let out = Universe::new(ranks).run(|comm| {
                         let mut st: DistributedState<SoaStorage> =
                             DistributedState::basis_state(comm, n, 1, DistConfig::default());
-                        st.run_plan(&plan).unwrap();
+                        st.run_plan(&plan, |_, _| {}).unwrap();
                         st.gather().unwrap()
                     });
                     let got = out.into_iter().flatten().next().unwrap();
@@ -1212,7 +1195,7 @@ mod tests {
         let out = Universe::new(ranks).run(|comm| {
             let mut st: DistributedState<SoaStorage> =
                 DistributedState::basis_state(comm, n, 2, DistConfig::default());
-            st.run_plan(&plan).unwrap();
+            st.run_plan(&plan, |_, _| {}).unwrap();
             st.barrier();
             (st.stats().bytes_exchanged, st.gather().unwrap())
         });

@@ -12,6 +12,11 @@
 //!   distributed gates exchange the whole local vector with a single pair
 //!   rank (§2.1).
 //!
+//! Both forms run every gate, circuit and comm-avoiding plan through one
+//! lowering: each maximal run of diagonal gates becomes a single
+//! compiled phase sweep, every other gate its own kernel, and each
+//! batched permutation one global exchange.
+//!
 //! Storage ([`storage`]) follows QuEST: separate real and imaginary
 //! arrays (structure-of-arrays).
 //!
@@ -42,6 +47,7 @@ pub mod checkpoint;
 pub mod diagonal;
 pub mod dist;
 pub mod expectation;
+mod lower;
 pub mod measure;
 pub mod reference;
 pub mod single;
@@ -49,6 +55,7 @@ pub mod sparse;
 pub mod storage;
 
 pub use dist::{DistConfig, DistributedState};
-pub use single::{SingleState, DEFAULT_MIN_FUSE};
+pub use lower::DEFAULT_MIN_FUSE;
+pub use single::SingleState;
 pub use sparse::{SparseState, DEFAULT_PRUNE_EPSILON, MAX_SPARSE_QUBITS};
 pub use storage::{AmpStorage, SoaStorage};

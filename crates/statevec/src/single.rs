@@ -4,17 +4,10 @@
 //! kernel/fusion benchmarks, and the reference experiments on one "node".
 //! Generic over the amplitude [`storage`](crate::storage) layout.
 
-use crate::diagonal::{diagonal_phase, CompiledDiagonal};
+use crate::lower::{lower, Lowered, Source, DEFAULT_MIN_FUSE};
 use crate::storage::{init_basis, AmpStorage, SoaStorage};
-use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::{Circuit, Gate};
 use qse_math::Complex64;
-
-/// Default fusion threshold for the real engines: every diagonal gate
-/// already costs a full sweep here, so fusing any run of ≥ 2 strictly
-/// removes sweeps (unlike QuEST's quarter-sweep controlled phases, where
-/// the model's break-even sits near 4).
-pub const DEFAULT_MIN_FUSE: usize = 2;
 
 /// A full statevector in one address space over storage layout `S`.
 #[derive(Debug, Clone)]
@@ -70,57 +63,45 @@ impl<S: AmpStorage> SingleState<S> {
         self.amps.norm_sqr_sum()
     }
 
-    /// Applies a single gate.
+    /// Applies a single gate (a diagonal gate is a sweep of one).
     pub fn apply(&mut self, gate: &Gate) {
         assert!(gate.max_qubit() < self.n_qubits, "gate out of range");
-        match *gate {
-            ref g if g.is_diagonal() => {
-                self.amps.apply_phase_fn(0, &|i| diagonal_phase(g, i));
-            }
-            Gate::Swap(a, b) => self.amps.swap_local(a, b),
-            Gate::Unitary2 { a, b, ref matrix } => self.amps.apply_orbit4(a, b, matrix),
-            ref g => {
-                let Some(m) = g.matrix1() else {
-                    unreachable!("all remaining gate kinds are single-target")
-                };
-                // CNot / CUnitary carry a control; everything else is plain.
-                self.amps.apply_pairs(g.target(), &m, g.control());
-            }
-        }
+        self.execute(lower([Source::Gate(gate)], DEFAULT_MIN_FUSE));
     }
 
-    /// Runs a circuit through the fused schedule ([`fused_schedule`] at
-    /// [`DEFAULT_MIN_FUSE`]): runs of consecutive diagonal gates execute
-    /// as single sweeps — the same schedule the analytic model prices.
-    /// Bit-for-bit identical to [`Self::run_unfused`].
+    /// Runs a circuit through the fused schedule at [`DEFAULT_MIN_FUSE`]:
+    /// runs of consecutive diagonal gates execute as single sweeps — the
+    /// same schedule the analytic model prices.
     pub fn run(&mut self, circuit: &Circuit) {
         self.run_fused(circuit, DEFAULT_MIN_FUSE);
     }
 
-    /// Runs a circuit gate by gate (no fusion) — one sweep per gate. The
-    /// baseline the measured-fusion ablation and the equivalence property
-    /// tests compare against.
-    pub fn run_unfused(&mut self, circuit: &Circuit) {
-        assert_eq!(circuit.n_qubits(), self.n_qubits, "width mismatch");
-        for g in circuit.gates() {
-            self.apply(g);
-        }
-    }
-
     /// Runs a circuit with maximal diagonal runs (≥ `min_fuse` gates)
     /// applied as single fused sweeps — QuEST's efficient controlled-phase
-    /// path, executed rather than modeled. Semantically identical to
-    /// [`Self::run_unfused`].
+    /// path, executed rather than modeled. Bit-for-bit identical to an
+    /// [`Self::apply`] loop over the gates.
     pub fn run_fused(&mut self, circuit: &Circuit, min_fuse: usize) {
         assert_eq!(circuit.n_qubits(), self.n_qubits, "width mismatch");
-        for step in fused_schedule(circuit, min_fuse) {
+        self.execute(lower(circuit.gates().iter().map(Source::Gate), min_fuse));
+    }
+
+    /// Executes lowered steps at offset 0.
+    fn execute<'a>(&mut self, steps: impl Iterator<Item = Lowered<'a>>) {
+        for step in steps {
             match step {
-                ScheduleStep::Single(i) => self.apply(&circuit.gates()[i]),
-                ScheduleStep::Fused(run) => {
-                    let compiled =
-                        CompiledDiagonal::compile(&circuit.gates()[run.start..run.end]);
-                    self.amps.apply_fused_diagonal(0, &compiled);
+                Lowered::Diagonal(run) => self.amps.apply_fused_diagonal(0, &run),
+                Lowered::Gate(Gate::Swap(a, b)) => self.amps.swap_local(*a, *b),
+                Lowered::Gate(Gate::Unitary2 { a, b, matrix }) => {
+                    self.amps.apply_orbit4(*a, *b, matrix)
                 }
+                Lowered::Gate(g) => {
+                    let Some(m) = g.matrix1() else {
+                        unreachable!("all remaining gate kinds are single-target")
+                    };
+                    // CNot / CUnitary carry a control; everything else is plain.
+                    self.amps.apply_pairs(g.target(), &m, g.control());
+                }
+                Lowered::Permute(_) => unreachable!("a circuit has no permutation steps"),
             }
         }
     }
@@ -188,33 +169,33 @@ mod tests {
         assert_slices_close(&got.to_vec(), want.amplitudes(), 1e-9);
     }
 
-    #[test]
-    fn fused_run_matches_plain_run() {
-        for seed in 0..4 {
-            let c = random_circuit(6, 150, GatePool::Full, seed + 100);
-            let mut plain: SingleState = SingleState::zero_state(6);
-            plain.run_unfused(&c);
-            for min_fuse in [1, 2, 4] {
-                let mut fused: SingleState = SingleState::zero_state(6);
-                fused.run_fused(&c, min_fuse);
-                assert_slices_close(&fused.to_vec(), &plain.to_vec(), 1e-9);
-            }
+    /// Gate-at-a-time execution: one [`SingleState::apply`] per gate.
+    fn apply_each(s: &mut SingleState, c: &Circuit) {
+        for g in c.gates() {
+            s.apply(g);
         }
     }
 
     #[test]
-    fn default_run_is_bitwise_identical_to_unfused() {
-        // `run` now executes the fused schedule; the contract is bit-for-
-        // bit equality with gate-at-a-time execution, not mere closeness.
+    fn fused_run_is_bitwise_identical_to_gate_at_a_time() {
+        // The contract is bit-for-bit equality at every fusion threshold,
+        // not mere closeness.
         for seed in 0..4 {
-            let c = random_circuit(7, 200, GatePool::QftLike, seed + 300);
-            let mut fused: SingleState = SingleState::basis_state(7, 45);
-            fused.run(&c);
+            let pool = if seed % 2 == 0 {
+                GatePool::QftLike
+            } else {
+                GatePool::Full
+            };
+            let c = random_circuit(7, 200, pool, seed + 300);
             let mut plain: SingleState = SingleState::basis_state(7, 45);
-            plain.run_unfused(&c);
-            for (i, (f, p)) in fused.to_vec().iter().zip(plain.to_vec()).enumerate() {
-                assert_eq!(f.re.to_bits(), p.re.to_bits(), "re at {i} seed {seed}");
-                assert_eq!(f.im.to_bits(), p.im.to_bits(), "im at {i} seed {seed}");
+            apply_each(&mut plain, &c);
+            for min_fuse in [1, 2, 4] {
+                let mut fused: SingleState = SingleState::basis_state(7, 45);
+                fused.run_fused(&c, min_fuse);
+                for (i, (f, p)) in fused.to_vec().iter().zip(plain.to_vec()).enumerate() {
+                    assert_eq!(f.re.to_bits(), p.re.to_bits(), "re at {i} seed {seed}");
+                    assert_eq!(f.im.to_bits(), p.im.to_bits(), "im at {i} seed {seed}");
+                }
             }
         }
     }

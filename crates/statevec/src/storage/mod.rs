@@ -61,18 +61,15 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
     /// (stride `2^q`), optionally only where local control qubit bit is 1.
     fn apply_pairs(&mut self, q: u32, m: &Matrix2, control: Option<u32>);
 
-    /// Multiplies every amplitude by `phase(global_index)`, where
-    /// `global_index = offset | local_index`. This is the fully-local
-    /// (diagonal) sweep; `offset` carries the rank bits.
-    fn apply_phase_fn(&mut self, offset: u64, phase: &(dyn Fn(u64) -> Complex64 + Sync));
-
-    /// Applies a precompiled *run* of diagonal gates in one pass: each
+    /// The fully-local (diagonal) sweep: applies a precompiled *run* of
+    /// diagonal gates in one pass over global indices
+    /// `offset | local_index` (`offset` carries the rank bits). Each
     /// amplitude is read once, multiplied by every gate's phase in gate
     /// order, and written once — `k` gate sweeps collapse into one.
     ///
     /// The per-amplitude multiply sequence is exactly the one `k`
-    /// successive [`Self::apply_phase_fn`] sweeps would perform, so the
-    /// fused path is bit-for-bit identical to gate-at-a-time execution.
+    /// successive single-gate sweeps would perform, so the fused path
+    /// is bit-for-bit identical to gate-at-a-time execution.
     /// Layouts override this default (sequential) loop with their
     /// parallel chunked sweeps.
     fn apply_fused_diagonal(&mut self, offset: u64, run: &crate::diagonal::CompiledDiagonal) {
@@ -219,7 +216,6 @@ pub(crate) mod conformance {
         pairs_hadamard::<S>();
         pairs_every_qubit_roundtrip::<S>();
         pairs_controlled::<S>();
-        phase_sweep_with_offset::<S>();
         fused_diagonal_bitwise_matches_gate_at_a_time::<S>();
         large_fused_diagonal_matches_default::<S>();
         swap_local_permutes::<S>();
@@ -351,25 +347,17 @@ pub(crate) mod conformance {
         assert_complex_close(s.get(6), before[7], 1e-12);
     }
 
-    fn phase_sweep_with_offset<S: AmpStorage>() {
-        // phase(index) = -1 iff global bit 3 set; offset 8 sets bit 3 for
-        // every local index.
-        let mut s: S = ramp(8);
-        let before = s.to_complex_vec();
-        s.apply_phase_fn(8, &|idx| {
-            if (idx >> 3) & 1 == 1 {
-                Complex64::real(-1.0)
-            } else {
-                Complex64::ONE
-            }
-        });
-        for i in 0..8 {
-            assert_complex_close(s.get(i), -before[i], 1e-12);
+    /// Layout-agnostic reference for one diagonal gate's sweep: the
+    /// per-element multiply by the gate's phase at `offset | i`.
+    fn gate_at_a_time<S: AmpStorage>(s: &mut S, offset: u64, g: &qse_circuit::Gate) {
+        for i in 0..s.len() {
+            let v = s.get(i) * crate::diagonal::diagonal_phase(g, offset | i as u64);
+            s.set(i, v);
         }
     }
 
     fn fused_diagonal_bitwise_matches_gate_at_a_time<S: AmpStorage>() {
-        use crate::diagonal::{diagonal_phase, CompiledDiagonal};
+        use crate::diagonal::CompiledDiagonal;
         use qse_circuit::Gate;
         let gates = vec![
             Gate::S(0),
@@ -388,7 +376,7 @@ pub(crate) mod conformance {
         let offset = 16u64; // a rank bit above the local width
         let mut unfused: S = ramp(8);
         for g in &gates {
-            unfused.apply_phase_fn(offset, &|i| diagonal_phase(g, i));
+            gate_at_a_time(&mut unfused, offset, g);
         }
         let mut fused: S = ramp(8);
         fused.apply_fused_diagonal(offset, &CompiledDiagonal::compile(&gates));
@@ -402,7 +390,7 @@ pub(crate) mod conformance {
     fn large_fused_diagonal_matches_default<S: AmpStorage>() {
         // Above PAR_THRESHOLD the fused sweep takes the pool path; verify
         // it agrees bitwise with per-gate sweeps on the same data.
-        use crate::diagonal::{diagonal_phase, CompiledDiagonal};
+        use crate::diagonal::CompiledDiagonal;
         use qse_circuit::Gate;
         let len = PAR_THRESHOLD * 2;
         let gates = vec![
@@ -421,7 +409,7 @@ pub(crate) mod conformance {
             fused.set(i, v);
         }
         for g in &gates {
-            unfused.apply_phase_fn(0, &|i| diagonal_phase(g, i));
+            gate_at_a_time(&mut unfused, 0, g);
         }
         fused.apply_fused_diagonal(0, &CompiledDiagonal::compile(&gates));
         for i in 0..len {

@@ -1,5 +1,5 @@
 //! Property tests: fused diagonal execution is *bit-for-bit* identical
-//! to gate-at-a-time execution.
+//! to gate-at-a-time execution (an `apply` loop).
 //!
 //! The fused sweep multiplies each amplitude by every gate's phase
 //! sequentially in gate order — the exact floating-point operation
@@ -43,7 +43,9 @@ fn single_case(seed: u64, gates: usize) {
     let mut fused: SingleState = SingleState::basis_state(N, basis);
     fused.run(&c);
     let mut plain: SingleState = SingleState::basis_state(N, basis);
-    plain.run_unfused(&c);
+    for g in c.gates() {
+        plain.apply(g);
+    }
     assert_bitwise(
         &fused.to_vec(),
         &plain.to_vec(),
@@ -56,12 +58,19 @@ fn fused_single_matches_gate_at_a_time() {
     check_with_size(16, 120, |rng, size| single_case(rng.next_u64(), size));
 }
 
-/// Runs `circuit` over `ranks` ranks and returns rank 0's gathered state.
-fn dist_gather(circuit: &Circuit, ranks: usize, config: DistConfig, basis: u64) -> Vec<Complex64> {
+/// Runs `circuit` over `ranks` ranks — fused through `run`, or gate at
+/// a time through `apply` — and returns rank 0's gathered state.
+fn dist_gather(circuit: &Circuit, ranks: usize, fused: bool, basis: u64) -> Vec<Complex64> {
     let out = Universe::new(ranks).run(|comm| {
         let mut st: DistributedState =
-            DistributedState::basis_state(comm, circuit.n_qubits(), basis, config);
-        st.run(circuit).unwrap();
+            DistributedState::basis_state(comm, circuit.n_qubits(), basis, DistConfig::default());
+        if fused {
+            st.run(circuit).unwrap();
+        } else {
+            for g in circuit.gates() {
+                st.apply(g).unwrap();
+            }
+        }
         st.gather().unwrap()
     });
     out.into_iter().flatten().next().expect("rank 0 gathered")
@@ -70,16 +79,8 @@ fn dist_gather(circuit: &Circuit, ranks: usize, config: DistConfig, basis: u64) 
 fn dist_case(seed: u64, gates: usize, ranks: usize) {
     let c = random_circuit(N, gates, pool_for(seed), seed);
     let basis = seed % (1 << N);
-    let fused = dist_gather(&c, ranks, DistConfig::default(), basis);
-    let plain = dist_gather(
-        &c,
-        ranks,
-        DistConfig {
-            min_fuse: None,
-            ..DistConfig::default()
-        },
-        basis,
-    );
+    let fused = dist_gather(&c, ranks, true, basis);
+    let plain = dist_gather(&c, ranks, false, basis);
     assert_bitwise(
         &fused,
         &plain,
@@ -108,7 +109,7 @@ fn fused_distributed_matches_single_process() {
         let c = random_circuit(N, size, pool_for(seed), seed);
         let mut single: SingleState = SingleState::zero_state(N);
         single.run(&c);
-        let dist = dist_gather(&c, 4, DistConfig::default(), 0);
+        let dist = dist_gather(&c, 4, true, 0);
         let want = single.to_vec();
         for (i, (d, w)) in dist.iter().zip(&want).enumerate() {
             assert!(

@@ -41,7 +41,7 @@ fn run_plan(plan: &Plan, ranks: usize) -> (Vec<Complex64>, u64) {
     let out = Universe::new(ranks).run(|comm| {
         let mut st: DistributedState =
             DistributedState::basis_state(comm, plan.n_qubits(), 1, DistConfig::default());
-        st.run_plan(plan).unwrap();
+        st.run_plan(plan, |_, _| {}).unwrap();
         st.barrier();
         let exchanged = st.stats().bytes_exchanged;
         (st.gather().unwrap(), exchanged)

@@ -19,7 +19,6 @@ fn dist_config(chunk: usize, half: bool) -> DistConfig {
     DistConfig {
         chunk_policy: ChunkPolicy::new(chunk).unwrap(),
         half_exchange_swaps: half,
-        ..DistConfig::default()
     }
 }
 
@@ -27,7 +26,6 @@ fn verify_opts(config: DistConfig) -> VerifyOptions {
     VerifyOptions {
         chunk_policy: config.chunk_policy,
         half_exchange_swaps: config.half_exchange_swaps,
-        min_fuse: config.min_fuse,
     }
 }
 
@@ -37,7 +35,7 @@ fn measured_exchanged(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<u64>
     Universe::new(ranks).run(|comm| {
         let mut st: DistributedState =
             DistributedState::basis_state(comm, plan.n_qubits(), 1, config);
-        st.run_plan(plan).unwrap();
+        st.run_plan(plan, |_, _| {}).unwrap();
         st.barrier();
         st.stats().bytes_exchanged
     })
@@ -123,17 +121,6 @@ fn symbolic_bytes_match_measured_small_chunks_and_half_exchange() {
             );
         }
     }
-}
-
-#[test]
-fn symbolic_bytes_match_measured_unfused() {
-    // Fusion off: the verifier walks the per-gate schedule instead.
-    let c = random_circuit(7, 30, GatePool::QftLike, 11);
-    let config = DistConfig {
-        min_fuse: None,
-        ..dist_config(1 << 20, false)
-    };
-    check_bytes_match(&c, 4, Some(Strategy::Greedy), config, "unfused R=4");
 }
 
 /// Every plan the equivalence suites execute (`transpile_equivalence`

@@ -22,7 +22,7 @@ fn main() {
     );
 
     // Simulate and check the success probability.
-    let state = LocalExecutor::run(&circuit);
+    let state = SingleState::simulate(&circuit);
     let p = state.amplitude(marked).norm_sqr();
     println!("P(marked) after {iterations} iterations: {p:.4}");
 
@@ -34,7 +34,7 @@ fn main() {
 
     // Under- and over-rotation: Grover's probability is periodic.
     for k in [iterations / 2, iterations, iterations * 2] {
-        let s = LocalExecutor::run(&grover(n, marked, k));
+        let s = SingleState::simulate(&grover(n, marked, k));
         println!(
             "  {k:3} iterations -> P(marked) = {:.4}",
             s.amplitude(marked).norm_sqr()

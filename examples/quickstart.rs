@@ -25,7 +25,7 @@ fn main() {
     );
 
     // 2. Exact local simulation with the production kernels.
-    let state = LocalExecutor::run(&circuit);
+    let state = SingleState::simulate(&circuit);
     println!("norm after simulation: {:.12}", state.norm_sqr());
 
     // 3. The same circuit distributed over 4 thread ranks — real message

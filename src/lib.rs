@@ -11,11 +11,12 @@
 //!
 //! ```
 //! use qse::circuit::qft::qft;
-//! use qse::core::{LocalExecutor, ModelExecutor, SimConfig};
+//! use qse::core::{ModelExecutor, SimConfig};
 //! use qse::machine::archer2;
+//! use qse::statevec::SingleState;
 //!
 //! // Exact simulation of a 10-qubit QFT (single address space):
-//! let state = LocalExecutor::run(&qft(10));
+//! let state = SingleState::simulate(&qft(10));
 //! assert!((state.norm_sqr() - 1.0).abs() < 1e-9);
 //!
 //! // Modelled runtime/energy of the 38-qubit QFT on 64 ARCHER2 nodes:
@@ -59,9 +60,7 @@ pub mod prelude {
     pub use qse_circuit::transpile::cache_blocking::cache_block;
     pub use qse_circuit::{Circuit, Gate};
     pub use qse_comm::Universe;
-    pub use qse_core::{
-        LocalExecutor, ModelExecutor, SimConfig, ThreadClusterExecutor, TranspileMode,
-    };
+    pub use qse_core::{ModelExecutor, SimConfig, ThreadClusterExecutor, TranspileMode};
     pub use qse_machine::{archer2, CpuFrequency, ModelConfig, NodeKind};
     pub use qse_math::Complex64;
     pub use qse_statevec::{DistConfig, DistributedState, SingleState};

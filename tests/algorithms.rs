@@ -15,7 +15,7 @@ use qse::statevec::storage::AmpStorage;
 fn bernstein_vazirani_recovers_secret() {
     for secret in [0u64, 1, 0b101101, 0b111111, 0b010010] {
         let n = 6;
-        let state = LocalExecutor::run(&bernstein_vazirani(n, secret));
+        let state = SingleState::simulate(&bernstein_vazirani(n, secret));
         assert_close(state.amplitude(secret).norm_sqr(), 1.0, 1e-9);
     }
 }
@@ -37,7 +37,7 @@ fn qpe_exact_phase_recovery() {
     let t = 6u32;
     for k in [1u64, 13, 31, 63] {
         let phi = k as f64 / (1u64 << t) as f64;
-        let state = LocalExecutor::run(&qpe(t, phi));
+        let state = SingleState::simulate(&qpe(t, phi));
         let (best, p) = (0..state.storage().len() as u64)
             .map(|i| (i, state.amplitude(i).norm_sqr()))
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -52,7 +52,7 @@ fn qpe_exact_phase_recovery() {
 fn qpe_approximate_phase() {
     let t = 7u32;
     let phi = 0.31234;
-    let state = LocalExecutor::run(&qpe(t, phi));
+    let state = SingleState::simulate(&qpe(t, phi));
     let (best, p) = (0..state.storage().len() as u64)
         .map(|i| (i, state.amplitude(i).norm_sqr()))
         .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -82,7 +82,7 @@ fn ghz_distributed_correlations() {
 #[test]
 fn layered_ansatz_observables() {
     let c = layered_ansatz(6, 4, 11);
-    let state = LocalExecutor::run(&c);
+    let state = SingleState::simulate(&c);
     assert_close(state.norm_sqr(), 1.0, 1e-9);
     for q in 0..6 {
         let z = pauli_expectation(&state, &[(q, Pauli::Z)]);
@@ -106,10 +106,10 @@ fn checkpoint_resume_matches_uninterrupted_run() {
 
     // Uninterrupted.
     let full = first.then(&second);
-    let want = LocalExecutor::run(&full);
+    let want = SingleState::simulate(&full);
 
     // Interrupted at the midpoint.
-    let mid = LocalExecutor::run(&first);
+    let mid = SingleState::simulate(&first);
     let bytes = save(&mid);
     let mut resumed: qse::statevec::SingleState<SoaStorage> = load(&bytes).unwrap();
     resumed.run(&second);

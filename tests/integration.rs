@@ -20,16 +20,11 @@ fn end_to_end_qft_pipeline() {
         want.run(&built_in);
 
         for circuit in [&built_in, &blocked] {
-            for cfg in [
-                SimConfig::default_for(ranks),
-                SimConfig::fast_for(ranks),
-                {
-                    let mut c = SimConfig::fast_for(ranks);
-                    c.half_exchange_swaps = true;
-                    c.fuse_diagonals = Some(2);
-                    c
-                },
-            ] {
+            for cfg in [SimConfig::default_for(ranks), {
+                let mut c = SimConfig::default_for(ranks);
+                c.half_exchange_swaps = true;
+                c
+            }] {
                 let run = ThreadClusterExecutor::run(circuit, &cfg, basis, true);
                 assert_slices_close(
                     &run.state.expect("gathered"),
@@ -66,7 +61,7 @@ fn transpiler_layout_restoration_round_trip() {
         let gathered = Universe::new(ranks as usize).run(|comm| {
             let mut st: DistributedState<SoaStorage> =
                 DistributedState::basis_state(comm, n, 0, cfg.to_dist_config());
-            st.run_plan(&plan).expect("plan run");
+            st.run_plan(&plan, |_, _| {}).expect("plan run");
             st.gather().expect("gather")
         });
         let state = gathered
@@ -190,7 +185,7 @@ fn grover_finds_the_marked_state() {
     let marked = 0b1011010u64;
     let c = grover(n, marked, grover_optimal_iterations(n));
 
-    let local = LocalExecutor::run(&c);
+    let local = SingleState::simulate(&c);
     let p_local = local.amplitude(marked).norm_sqr();
     assert!(p_local > 0.99, "local p = {p_local}");
 
@@ -225,10 +220,8 @@ fn unitary2_all_distribution_regimes() {
             matrix: random_unitary2(&mut rng),
         });
         let want = ReferenceState::simulate(&c);
-        for cfg in [SimConfig::default_for(ranks), SimConfig::fast_for(ranks)] {
-            let run = ThreadClusterExecutor::run(&c, &cfg, 0, true);
-            assert_slices_close(&run.state.unwrap(), want.amplitudes(), 1e-9);
-        }
+        let run = ThreadClusterExecutor::run(&c, &SimConfig::default_for(ranks), 0, true);
+        assert_slices_close(&run.state.unwrap(), want.amplitudes(), 1e-9);
     }
 }
 
@@ -264,7 +257,7 @@ fn mcphase_never_communicates() {
 fn prelude_surface_compiles_and_runs() {
     let mut c = Circuit::new(3);
     c.h(0).cnot(0, 1).swap(1, 2);
-    let s = LocalExecutor::run(&c);
+    let s = SingleState::simulate(&c);
     assert_close(s.norm_sqr(), 1.0, 1e-12);
     let out = Universe::new(2).run(|comm| comm.rank());
     assert_eq!(out, vec![0, 1]);

@@ -25,7 +25,7 @@ fn draw_circuit(rng: &mut impl Rng, n: u32, size: usize) -> Circuit {
 fn circuits_preserve_norm() {
     check_with_size(48, 40, |rng, size| {
         let c = draw_circuit(rng, 6, size);
-        let s = LocalExecutor::run(&c);
+        let s = SingleState::simulate(&c);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
     });
 }
@@ -50,7 +50,7 @@ fn inverse_restores_state() {
 fn engine_matches_reference() {
     check_with_size(48, 40, |rng, size| {
         let c = draw_circuit(rng, 6, size);
-        let got = LocalExecutor::run(&c);
+        let got = SingleState::simulate(&c);
         let want = ReferenceState::simulate(&c);
         assert!(
             slices_close(&got.to_vec(), want.amplitudes(), 1e-9),
@@ -96,8 +96,12 @@ fn fusion_is_semantics_preserving() {
     check_with_size(48, 40, |rng, size| {
         let c = draw_circuit(rng, 6, size);
         let min_fuse = rng.random_range(1usize..6);
-        let plain = LocalExecutor::run(&c);
-        let fused = LocalExecutor::run_fused(&c, 0, min_fuse);
+        let mut plain: SingleState = SingleState::zero_state(6);
+        for g in c.gates() {
+            plain.apply(g);
+        }
+        let mut fused: SingleState = SingleState::zero_state(6);
+        fused.run_fused(&c, min_fuse);
         assert!(slices_close(&plain.to_vec(), &fused.to_vec(), 1e-9));
     });
 }
